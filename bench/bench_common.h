@@ -1,10 +1,14 @@
 // Shared helpers for the table/figure bench binaries.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 
+#include "core/error.h"
 #include "core/logging.h"
+#include "flare/learner.h"
 #include "train/experiment.h"
 
 namespace cppflare::bench {
@@ -37,5 +41,35 @@ inline void print_header(const std::string& title,
 inline void quiet_logs() {
   core::LogConfig::instance().set_threshold(core::LogLevel::kWarn);
 }
+
+/// Near-zero-cost learner for the protocol benches: nudges every weight
+/// halfway toward a per-site target and claims 10 samples, so the protocol
+/// (not training) dominates. A `crash_round` >= 0 makes the site throw from
+/// that round on — a site crashing mid-run.
+class NudgeLearner : public flare::Learner {
+ public:
+  NudgeLearner(std::string site, float target, std::int64_t crash_round = -1)
+      : site_(std::move(site)), target_(target), crash_round_(crash_round) {}
+
+  flare::Dxo train(const flare::Dxo& global,
+                   const flare::FLContext& ctx) override {
+    if (crash_round_ >= 0 && ctx.current_round >= crash_round_) {
+      throw Error("bench: site crashed mid-run");
+    }
+    nn::StateDict updated = global.data();
+    for (auto& [name, blob] : updated.entries()) {
+      for (float& v : blob.values) v += 0.5f * (target_ - v);
+    }
+    flare::Dxo update(flare::DxoKind::kWeights, updated);
+    update.set_meta_int(flare::Dxo::kMetaNumSamples, 10);
+    return update;
+  }
+  std::string site_name() const override { return site_; }
+
+ private:
+  std::string site_;
+  float target_;
+  std::int64_t crash_round_;
+};
 
 }  // namespace cppflare::bench

@@ -27,6 +27,7 @@
 namespace {
 
 using namespace cppflare;
+using bench::NudgeLearner;
 
 constexpr std::int64_t kSites = 8;
 constexpr std::int64_t kRounds = 40;
@@ -39,27 +40,6 @@ nn::StateDict bench_model() {
   d.insert("w", {{kModelFloats}, std::vector<float>(kModelFloats, 0.0f)});
   return d;
 }
-
-class NudgeLearner : public flare::Learner {
- public:
-  NudgeLearner(std::string site, float target)
-      : site_(std::move(site)), target_(target) {}
-
-  flare::Dxo train(const flare::Dxo& global, const flare::FLContext&) override {
-    nn::StateDict updated = global.data();
-    for (auto& [name, blob] : updated.entries()) {
-      for (float& v : blob.values) v += 0.5f * (target_ - v);
-    }
-    flare::Dxo update(flare::DxoKind::kWeights, updated);
-    update.set_meta_int(flare::Dxo::kMetaNumSamples, 10);
-    return update;
-  }
-  std::string site_name() const override { return site_; }
-
- private:
-  std::string site_;
-  float target_;
-};
 
 std::map<std::string, flare::Credential> make_pool() {
   const flare::Provisioner provisioner("bench-jobs-pool", 33);

@@ -105,7 +105,10 @@ void BM_Provisioning(benchmark::State& state) {
 BENCHMARK(BM_Provisioning);
 
 void BM_TcpRoundTrip(benchmark::State& state) {
-  flare::TcpServer server(0, [](const std::vector<std::uint8_t>& r) { return r; });
+  flare::TcpServer server(
+      0, [](const std::vector<std::uint8_t>& r, flare::RespondFn respond) {
+        respond(r);
+      });
   flare::TcpConnection conn("127.0.0.1", server.port());
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(state.range(0)), 0x42);
   for (auto _ : state) {

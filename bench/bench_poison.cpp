@@ -30,6 +30,7 @@
 namespace {
 
 using namespace cppflare;
+using bench::NudgeLearner;
 
 constexpr std::int64_t kSites = 8;
 constexpr float kInitValue = 5.0f;
@@ -39,27 +40,6 @@ nn::StateDict tiny_model() {
   d.insert("w", {{16}, std::vector<float>(16, kInitValue)});
   return d;
 }
-
-class NudgeLearner : public flare::Learner {
- public:
-  NudgeLearner(std::string site, float target)
-      : site_(std::move(site)), target_(target) {}
-
-  flare::Dxo train(const flare::Dxo& global, const flare::FLContext&) override {
-    nn::StateDict updated = global.data();
-    for (auto& [name, blob] : updated.entries()) {
-      for (float& v : blob.values) v += 0.5f * (target_ - v);
-    }
-    flare::Dxo update(flare::DxoKind::kWeights, updated);
-    update.set_meta_int(flare::Dxo::kMetaNumSamples, 10);
-    return update;
-  }
-  std::string site_name() const override { return site_; }
-
- private:
-  std::string site_;
-  float target_;
-};
 
 struct AggSetup {
   const char* name;

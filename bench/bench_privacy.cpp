@@ -25,38 +25,13 @@
 namespace {
 
 using namespace cppflare;
+using bench::NudgeLearner;
 
 nn::StateDict tiny_model() {
   nn::StateDict d;
   d.insert("w", {{16}, std::vector<float>(16, 0.0f)});
   return d;
 }
-
-class NudgeLearner : public flare::Learner {
- public:
-  NudgeLearner(std::string site, float target, std::int64_t crash_round)
-      : site_(std::move(site)), target_(target), crash_round_(crash_round) {}
-
-  flare::Dxo train(const flare::Dxo& global,
-                   const flare::FLContext& ctx) override {
-    if (crash_round_ >= 0 && ctx.current_round >= crash_round_) {
-      throw Error("bench: site crashed mid-run");
-    }
-    nn::StateDict updated = global.data();
-    for (auto& [name, blob] : updated.entries()) {
-      for (float& v : blob.values) v += 0.5f * (target_ - v);
-    }
-    flare::Dxo update(flare::DxoKind::kWeights, updated);
-    update.set_meta_int(flare::Dxo::kMetaNumSamples, 10);
-    return update;
-  }
-  std::string site_name() const override { return site_; }
-
- private:
-  std::string site_;
-  float target_;
-  std::int64_t crash_round_;
-};
 
 struct RunResult {
   double rounds_per_sec = 0.0;

@@ -22,33 +22,13 @@
 namespace {
 
 using namespace cppflare;
+using bench::NudgeLearner;
 
 nn::StateDict tiny_model() {
   nn::StateDict d;
   d.insert("w", {{16}, std::vector<float>(16, 0.0f)});
   return d;
 }
-
-class NudgeLearner : public flare::Learner {
- public:
-  NudgeLearner(std::string site, float target)
-      : site_(std::move(site)), target_(target) {}
-
-  flare::Dxo train(const flare::Dxo& global, const flare::FLContext&) override {
-    nn::StateDict updated = global.data();
-    for (auto& [name, blob] : updated.entries()) {
-      for (float& v : blob.values) v += 0.5f * (target_ - v);
-    }
-    flare::Dxo update(flare::DxoKind::kWeights, updated);
-    update.set_meta_int(flare::Dxo::kMetaNumSamples, 10);
-    return update;
-  }
-  std::string site_name() const override { return site_; }
-
- private:
-  std::string site_;
-  float target_;
-};
 
 double run_federation(std::int64_t rounds, bool traced) {
   flare::SimulatorConfig config;

@@ -40,17 +40,17 @@ std::int64_t Backoff::next_delay_ms() {
   return delay;
 }
 
-std::int64_t Backoff::sleep_next() {
-  const std::int64_t delay = next_delay_ms();
+bool Backoff::try_again() {
+  const std::int64_t delay = next_retry_ms();
+  if (delay < 0) return false;
   sleep_ms(delay);
-  return delay;
+  return true;
 }
 
-bool Backoff::try_again() {
-  if (exhausted()) return false;
+std::int64_t Backoff::next_retry_ms() {
+  if (exhausted()) return -1;
   retries_ += 1;
-  sleep_next();
-  return true;
+  return next_delay_ms();
 }
 
 void Backoff::reset() {

@@ -47,11 +47,13 @@ class Backoff {
   /// primitive (e.g. a condition variable deadline).
   std::int64_t next_delay_ms();
 
-  /// next_delay_ms() + sleep; returns the ms slept.
-  std::int64_t sleep_next();
-
   /// False if exhausted; otherwise counts one retry, sleeps, returns true.
   bool try_again();
+
+  /// try_again() without the sleep, for callers that wait on their own
+  /// (the sans-IO client session): -1 once the retry budget is spent,
+  /// otherwise counts one retry and returns its delay in ms.
+  std::int64_t next_retry_ms();
 
   /// Rearms the episode: delay back to initial_ms, retry count to zero.
   void reset();

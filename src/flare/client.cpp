@@ -1,290 +1,66 @@
 #include "flare/client.h"
 
-#include <algorithm>
-#include <chrono>
-
 #include "core/error.h"
-#include "core/logging.h"
-#include "core/trace.h"
-
-#define CPPFLARE_LOG_COMPONENT "FederatedClient"
 
 namespace cppflare::flare {
-
-namespace {
-/// Raised by call_once when the server no longer knows our session; the
-/// retry loop converts it into an idempotent re-registration.
-struct UnknownSessionSignal {
-  std::string message;
-};
-
-/// Stable string hash (FNV-1a) so retry jitter is reproducible per site
-/// across processes, unlike std::hash.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-}  // namespace
 
 FederatedClient::FederatedClient(ClientConfig config, Credential credential,
                                  std::unique_ptr<Connection> connection,
                                  std::shared_ptr<Learner> learner)
-    : config_(std::move(config)),
-      credential_(std::move(credential)),
-      connection_(std::move(connection)),
-      learner_(std::move(learner)) {
+    : session_(std::move(config), std::move(credential), std::move(learner)),
+      connection_(std::move(connection)) {
   if (!connection_) throw Error("FederatedClient: connection required");
-  if (!learner_) throw Error("FederatedClient: learner required");
 }
 
 FederatedClient::FederatedClient(ClientConfig config, Credential credential,
                                  ConnectionFactory factory,
                                  std::shared_ptr<Learner> learner)
-    : config_(std::move(config)),
-      credential_(std::move(credential)),
-      factory_(std::move(factory)),
-      learner_(std::move(learner)) {
+    : session_(std::move(config), std::move(credential), std::move(learner)),
+      factory_(std::move(factory)) {
   if (!factory_) throw Error("FederatedClient: connection factory required");
-  if (!learner_) throw Error("FederatedClient: learner required");
 }
 
-void FederatedClient::ensure_connection() {
-  if (connection_) return;
-  if (!factory_) {
-    throw TransportError(credential_.name + ": connection lost and no factory");
-  }
-  connection_ = factory_();
-  if (!connection_) {
-    throw TransportError(credential_.name + ": connection factory returned null");
-  }
-}
-
-std::vector<std::uint8_t> FederatedClient::call_once(
+std::vector<std::uint8_t> FederatedClient::call(
     const std::vector<std::uint8_t>& frame) {
-  ensure_connection();
-  // Every attempt is re-sealed with a fresh sequence number, so a resend
-  // never trips the server's replay protection. The envelope is bound to
-  // our job so the multi-job router can dispatch it (and a cross-job replay
-  // fails the MAC on the other job's channel).
-  const std::vector<std::uint8_t> sealed = seal(
-      credential_.name, credential_.secret, seq_.next(), frame, config_.job_id);
-  const std::vector<std::uint8_t> sealed_response = connection_->call(sealed);
-  Envelope env;
-  try {
-    env = open(sealed_response, credential_.secret);
-  } catch (const Error& e) {
-    // The response failed verification: corrupted in flight, or the server
-    // could not even identify us (its error was sealed under an empty
-    // key). Either way the request may not have taken effect — retry.
-    throw TransportError(credential_.name +
-                         ": response unverifiable: " + e.what());
-  }
-  if (env.sender != "server") {
-    throw ProtocolError("response not from server but '" + env.sender + "'");
-  }
-  if (!config_.job_id.empty() && !env.job_id.empty() &&
-      env.job_id != config_.job_id) {
-    throw ProtocolError(credential_.name + ": response bound to job '" +
-                        env.job_id + "', expected '" + config_.job_id + "'");
-  }
-  server_seq_.check_and_advance(env.sender, env.sequence);
-  if (peek_type(env.payload) == MsgType::kError) {
-    const ErrorMessage err = decode_error(env.payload);
-    switch (err.code) {
-      case ErrorCode::kRetryable:
-        throw TransportError("server (retryable): " + err.message);
-      case ErrorCode::kUnknownSession:
-        throw UnknownSessionSignal{err.message};
-      case ErrorCode::kWrongJob:
-        throw ProtocolError(credential_.name + " (cross-job traffic): " +
-                            err.message);
-      case ErrorCode::kFatal:
-        break;
+  if (!connection_) {
+    if (!factory_) {
+      throw TransportError(site_name() + ": connection lost and no factory");
     }
-    throw ProtocolError("server error: " + err.message);
-  }
-  return env.payload;
-}
-
-std::vector<std::uint8_t> FederatedClient::call(const FrameBuilder& build_frame) {
-  core::Backoff backoff(config_.retry,
-                        config_.retry_seed ^ fnv1a(credential_.name));
-  std::int64_t session_recoveries = 0;
-  for (;;) {
-    try {
-      return call_once(build_frame());
-    } catch (const TransportError& e) {
-      transport_failures_ += 1;
-      if (!backoff.try_again()) {
-        LOG(warn)
-            .msg("giving up:")
-            .msg(e.what())
-            .kv("site", credential_.name)
-            .kv("retries", backoff.retries());
-        throw;
-      }
-      LOG(warn)
-          .msg("transport failure:")
-          .msg(e.what())
-          .kv("site", credential_.name)
-          .kv("retry", backoff.retries())
-          .kv("max_retries", config_.retry.max_retries);
-      if (factory_ && connection_) {
-        // A broken socket cannot be told apart from a lost frame; rebuild
-        // the connection when we can and let the factory decide how.
-        connection_.reset();
-        reconnects_ += 1;
-      }
-    } catch (const UnknownSessionSignal& e) {
-      if (registering_ || ++session_recoveries > 3) {
-        throw ProtocolError(credential_.name +
-                            ": session repeatedly rejected: " + e.message);
-      }
-      LOG(warn)
-          .msg("session unknown to server; re-registering")
-          .kv("site", credential_.name)
-          .kv("detail", e.message);
-      reregistrations_ += 1;
-      register_session();
+    connection_ = factory_();
+    if (!connection_) {
+      throw TransportError(site_name() + ": connection factory returned null");
     }
   }
-}
-
-void FederatedClient::register_session() {
-  registering_ = true;
-  try {
-    const RegisterAck ack = decode_register_ack(call(
-        [this] { return pack(RegisterRequest{credential_.name, credential_.token}); }));
-    registering_ = false;
-    if (!ack.accepted) {
-      throw ProtocolError("registration rejected for " + credential_.name +
-                          ": " + ack.message);
-    }
-    session_id_ = ack.session_id;
-  } catch (...) {
-    registering_ = false;
-    throw;
-  }
-  LOG(info).msg("Successfully registered client:" + credential_.name +
-                " for project " + config_.job_id + ". Token:" + credential_.token);
+  return connection_->call(frame);
 }
 
 void FederatedClient::run() {
-  // ---- register ----------------------------------------------------------
-  register_session();
-
-  // ---- task loop ----------------------------------------------------------
-  // Idle handling is long-poll, not timed re-polling: each get_task carries
-  // a wait budget and the server parks the call until a task exists (or the
-  // budget runs out, which doubles as a liveness heartbeat). A kNone answer
-  // therefore just re-polls immediately; `max_idle_ms` bounds the total
-  // task-less stretch by wall clock.
-  const std::int64_t wait_ms = std::max<std::int64_t>(1, config_.long_poll_ms);
-  auto last_progress = std::chrono::steady_clock::now();
+  ClientStep step = session_.start();
   for (;;) {
-    const auto poll_started = std::chrono::steady_clock::now();
-    const std::vector<std::uint8_t> reply =
-        call([this, wait_ms] { return pack(GetTaskRequest{session_id_, wait_ms}); });
-    if (peek_type(reply) == MsgType::kUnmaskRequest) {
-      // Mask-recovery phase (DESIGN.md §14): the server lost sites after
-      // masked submissions landed and asks us to reveal the sum of our
-      // pairwise masks against the dropped set. call() already retries
-      // transport failures under backoff, so recovery traffic survives the
-      // same fault injection as ordinary exchanges.
-      const UnmaskRequest req = decode_unmask_request(reply);
-      if (!unmask_provider_) {
-        throw ProtocolError(credential_.name +
-                            ": server asked for mask shares but no unmask "
-                            "provider is installed");
+    switch (step.kind) {
+      case ClientStep::Kind::kDone:
+        return;
+      case ClientStep::Kind::kRetry:
+        core::Backoff::sleep_ms(step.delay_ms);
+        if (factory_ && connection_) {
+          // A broken socket cannot be told apart from a lost frame; rebuild
+          // the connection when we can and let the factory decide how.
+          connection_.reset();
+          reconnects_ += 1;
+        }
+        step = session_.resend();
+        break;
+      case ClientStep::Kind::kSend: {
+        std::vector<std::uint8_t> reply;
+        try {
+          reply = call(step.frame);
+        } catch (const TransportError& e) {
+          step = session_.on_transport_error(e.what());
+          break;
+        }
+        step = session_.on_reply(reply, steady_now_ms());
+        break;
       }
-      Dxo share;
-      {
-        CF_TRACE_SPAN_SITE("client.unmask", credential_.name, req.round);
-        share = unmask_provider_(req.dropped, req.round, req.skeleton.data());
-      }
-      const SubmitAck ack =
-          decode_submit_ack(call([this, &req, &share] {
-            return pack(UnmaskResponse{session_id_, req.round, req.wave, share});
-          }));
-      if (ack.accepted) {
-        unmask_answers_ += 1;
-      } else {
-        // Stale wave / already-finished recovery: harmless, the server moved
-        // on without us. Log and resume polling.
-        LOG(warn)
-            .msg("unmask share not accepted:")
-            .msg(ack.message)
-            .kv("site", credential_.name)
-            .kv("round", req.round)
-            .kv("wave", req.wave);
-      }
-      last_progress = std::chrono::steady_clock::now();
-      continue;
-    }
-    const TaskMessage task = decode_task(reply);
-    if (task.task == TaskKind::kStop) {
-      LOG(info).msg("received stop; shutting down").kv("site", credential_.name);
-      return;
-    }
-    if (task.task == TaskKind::kNone) {
-      const auto now = std::chrono::steady_clock::now();
-      const auto idle_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                               now - last_progress)
-                               .count();
-      if (config_.max_idle_ms > 0 && idle_ms >= config_.max_idle_ms) {
-        throw TransportError(credential_.name + " idle for too long; aborting");
-      }
-      // A server that cannot park (synchronous dispatch path) answers kNone
-      // instantly; without this guard the loop would busy-spin on its lock.
-      const auto answered_in = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                   now - poll_started)
-                                   .count();
-      if (answered_in < 2) core::Backoff::sleep_ms(2);
-      continue;
-    }
-    last_progress = std::chrono::steady_clock::now();
-
-    FLContext ctx;
-    ctx.job_id = config_.job_id;
-    ctx.site_name = credential_.name;
-    ctx.current_round = task.round;
-    ctx.total_rounds = task.total_rounds;
-
-    Dxo update;
-    {
-      CF_TRACE_SPAN_SITE("client.train", credential_.name, task.round);
-      update = learner_->train(task.payload, ctx);
-    }
-    // Stamp the round before the filter chain runs: the server's freshness
-    // check needs the honest stamp, and a poisoning filter replaying an old
-    // update must carry the *old* stamp through (that is the attack).
-    if (!update.has_meta(Dxo::kMetaRound)) {
-      update.set_meta_int(Dxo::kMetaRound, task.round);
-    }
-    outbound_filters_.process(update, ctx);
-
-    SubmitAck submit_ack;
-    {
-      CF_TRACE_SPAN_SITE("client.submit", credential_.name, task.round);
-      submit_ack = decode_submit_ack(call([this, &task, &update] {
-        return pack(SubmitUpdateRequest{session_id_, task.round, update});
-      }));
-    }
-    if (submit_ack.accepted || submit_ack.message == kDuplicateContribution) {
-      // A duplicate ack means an earlier attempt landed but its response
-      // was lost — the contribution is in, count the round.
-      rounds_participated_ += 1;
-    } else {
-      updates_rejected_ += 1;
-      LOG(warn)
-          .msg("contribution rejected:")
-          .msg(submit_ack.message)
-          .kv("site", credential_.name)
-          .kv("reason", reject_reason_name(submit_ack.reason));
     }
   }
 }

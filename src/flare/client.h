@@ -1,16 +1,13 @@
-// The federated client runtime.
+// The federated client runtime: the blocking I/O loop around ClientSession.
 //
-// Owns a transport connection, the site credential, and a `Learner`. The
-// `run()` loop is the client half of Fig. 3: register (token handshake),
-// poll for tasks, run local training, pass the result through the outbound
-// filter chain, submit, repeat until the server says stop.
-//
-// Resilience (DESIGN.md §9): transport failures (socket errors, dropped or
-// corrupted frames, retryable server errors) are retried with bounded
-// exponential backoff, reconnecting through the `ConnectionFactory` when
-// one is available; kUnknownSession errors trigger an idempotent
-// re-registration that resumes the session. Application-level protocol
-// errors stay fatal.
+// Owns a transport connection and a ClientSession (client_session.h), which
+// holds the whole client protocol — the client half of Fig. 3: register
+// (token handshake), poll for tasks, run local training, pass the result
+// through the outbound filter chain, submit, repeat until the server says
+// stop. `run()` delivers each frame the session produces over the
+// Connection, feeds the reply back, and sleeps out the session's retry
+// delays, rebuilding the connection through the `ConnectionFactory` when
+// one is available (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -19,12 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/backoff.h"
-#include "flare/filters.h"
-#include "flare/learner.h"
-#include "flare/messages.h"
-#include "flare/provision.h"
-#include "flare/secure_channel.h"
+#include "flare/client_session.h"
 #include "flare/transport.h"
 
 namespace cppflare::flare {
@@ -33,31 +25,6 @@ namespace cppflare::flare {
 /// after every transport failure. May throw TransportError (counted against
 /// the same retry budget as a failed call).
 using ConnectionFactory = std::function<std::unique_ptr<Connection>()>;
-
-struct ClientConfig {
-  /// Job binding: stamped on every outbound envelope (the multi-job
-  /// coordinator routes frames by it and rejects cross-job traffic with
-  /// ErrorCode::kWrongJob) and carried into the Learner's FLContext. Empty
-  /// means unbound — accepted when the peer hosts exactly one job.
-  std::string job_id;
-  /// Long-poll budget sent with every get_task: the server parks the call
-  /// until a task is ready or this much time passed (it also clamps the
-  /// value, kMaxGetTaskWaitMs). Must be >= 1; against a server whose
-  /// transport cannot park (the synchronous dispatcher), kNone answers
-  /// return immediately and the client inserts a tiny anti-spin sleep.
-  std::int64_t long_poll_ms = 10000;
-  /// Give up if the server stays silent this long (0 = never).
-  std::int64_t max_idle_ms = 60000;
-  /// Retry schedule for transport-level failures (initial/max delay,
-  /// multiplier, retries per failed exchange, jitter fraction, fast first
-  /// retry). Each exchange gets a fresh episode, so the common transient —
-  /// one lost or corrupted frame — is retried immediately; only repeated
-  /// failures of the same exchange sleep the exponential schedule.
-  core::BackoffPolicy retry = {10, 2000, 2.0, 5, 0.2, true};
-  /// Seed for the retry jitter (combined with the site name), keeping
-  /// fault-injection runs reproducible.
-  std::uint64_t retry_seed = 0x9277;
-};
 
 class FederatedClient {
  public:
@@ -71,22 +38,13 @@ class FederatedClient {
                   ConnectionFactory factory, std::shared_ptr<Learner> learner);
 
   /// Filters applied to every outbound contribution (privacy lives here).
-  FilterChain& outbound_filters() { return outbound_filters_; }
+  FilterChain& outbound_filters() { return session_.outbound_filters(); }
 
-  /// Answers the server's mask-recovery question (DESIGN.md §14): given the
-  /// set of dropped sites and the round, return the sum of this site's
-  /// pairwise masks against them so the server can subtract them from the
-  /// masked aggregate. `skeleton` is the server-supplied zeros template of
-  /// the expected share, for providers restarted after a crash with no
-  /// upload-time state (DESIGN.md §15). Installed by the secure-aggregation
-  /// wiring; a client without a provider answers UnmaskRequest with a fatal
-  /// protocol error, which is correct for unmasked runs (the server never
-  /// asks).
-  using UnmaskProvider =
-      std::function<Dxo(const std::vector<std::string>& dropped,
-                        std::int64_t round, const nn::StateDict& skeleton)>;
+  /// See ClientSession::UnmaskProvider. Installed by the secure-aggregation
+  /// wiring; without one an UnmaskRequest is a fatal protocol error.
+  using UnmaskProvider = ClientSession::UnmaskProvider;
   void set_unmask_provider(UnmaskProvider provider) {
-    unmask_provider_ = std::move(provider);
+    session_.set_unmask_provider(std::move(provider));
   }
 
   /// Blocking: registers and participates until the server stops the run.
@@ -94,52 +52,31 @@ class FederatedClient {
   /// once the retry budget for a transport failure is exhausted.
   void run();
 
-  std::int64_t rounds_participated() const { return rounds_participated_; }
+  std::int64_t rounds_participated() const {
+    return session_.rounds_participated();
+  }
   /// Contributions the server refused (validator rejection, quarantine,
   /// stale round) over the client's lifetime.
-  std::int64_t updates_rejected() const { return updates_rejected_; }
+  std::int64_t updates_rejected() const { return session_.updates_rejected(); }
   /// Transport-level failures absorbed by the retry machinery (dropped or
   /// corrupted frames, reconnects) over the client's lifetime.
-  std::int64_t transport_failures() const { return transport_failures_; }
+  std::int64_t transport_failures() const {
+    return session_.transport_failures();
+  }
   std::int64_t reconnects() const { return reconnects_; }
-  std::int64_t reregistrations() const { return reregistrations_; }
+  std::int64_t reregistrations() const { return session_.reregistrations(); }
   /// UnmaskRequests answered during mask-recovery phases.
-  std::int64_t unmask_answers() const { return unmask_answers_; }
-  const std::string& site_name() const { return credential_.name; }
+  std::int64_t unmask_answers() const { return session_.unmask_answers(); }
+  const std::string& site_name() const { return session_.site_name(); }
 
  private:
-  /// Rebuilds the frame for each attempt (a re-registration mid-retry can
-  /// change the session id baked into it).
-  using FrameBuilder = std::function<std::vector<std::uint8_t>()>;
+  /// Delivers one frame; throws TransportError when it cannot.
+  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& frame);
 
-  /// Resilient exchange: retries transport failures with backoff,
-  /// re-registers on kUnknownSession, throws on fatal errors.
-  std::vector<std::uint8_t> call(const FrameBuilder& build_frame);
-
-  /// One authenticated round trip: seal, call, open, verify, classify
-  /// errors into retryable (TransportError) vs fatal (ProtocolError).
-  std::vector<std::uint8_t> call_once(const std::vector<std::uint8_t>& frame);
-
-  void ensure_connection();
-  void register_session();
-
-  ClientConfig config_;
-  Credential credential_;
+  ClientSession session_;
   std::unique_ptr<Connection> connection_;
   ConnectionFactory factory_;
-  std::shared_ptr<Learner> learner_;
-  FilterChain outbound_filters_;
-  UnmaskProvider unmask_provider_;
-  SequenceSource seq_;
-  SequenceTracker server_seq_;
-  std::string session_id_;
-  std::int64_t rounds_participated_ = 0;
-  std::int64_t updates_rejected_ = 0;
-  std::int64_t transport_failures_ = 0;
   std::int64_t reconnects_ = 0;
-  std::int64_t reregistrations_ = 0;
-  std::int64_t unmask_answers_ = 0;
-  bool registering_ = false;
 };
 
 }  // namespace cppflare::flare

@@ -48,9 +48,9 @@ struct RegisterAck {
 struct GetTaskRequest {
   std::string session_id;
   /// Long-poll budget: the server may park this call for up to `wait_ms`
-  /// before answering kNone (0 = answer immediately; the pre-long-poll wire
-  /// shape). Servers clamp it (kMaxGetTaskWaitMs) and only park on the
-  /// async dispatch path. Decoded leniently so old frames without the
+  /// before answering kNone (0 = answer immediately, which wire-level test
+  /// harnesses use to get every reply inline). Servers clamp it
+  /// (kMaxGetTaskWaitMs). Decoded leniently so old frames without the
   /// trailing field still parse as wait_ms = 0.
   std::int64_t wait_ms = 0;
 };

@@ -5,7 +5,8 @@
 // server hands out the global model as a train task, collects contributions
 // through the filter chain into the aggregator, aggregates when everyone
 // has reported, persists the model, and advances. All entry points are
-// thread-safe; transports call `dispatcher()` from any number of threads.
+// thread-safe; transports call `async_dispatcher()` from any number of
+// threads.
 //
 // Failure model (DESIGN.md §9): per-round deadlines close a round with at
 // least `min_clients` contributions (or abort the run below that), sites
@@ -134,24 +135,19 @@ class FederatedServer {
                   std::shared_ptr<RoundJournal> journal = nullptr);
   ~FederatedServer();
 
-  /// The sealed-bytes entry point for transports. The returned callable
-  /// keeps *this alive only as long as the server object; do not use it
-  /// after destruction.
+  /// The sealed-bytes entry point for transports — the only request path.
+  /// The returned callable is valid only as long as the server object.
   ///
-  /// This synchronous form answers every request inline and NEVER parks a
-  /// get_task (GetTaskRequest::wait_ms is ignored) — the caller's thread is
-  /// the transport's only delivery vehicle, so holding it hostage would
-  /// stall unrelated requests. Long-poll dispatch needs async_dispatcher().
-  Dispatcher dispatcher();
-
-  /// The long-poll-capable entry point: a get_task with wait_ms > 0 whose
-  /// answer would be kNone is *parked* — the RespondFn is retained and
-  /// completed when the round opens/advances/stops or the (clamped) wait
-  /// expires — instead of bouncing kNone back for the client to re-poll.
-  /// At most one park per site; a newer poll from the same site completes
-  /// the older park with kNone. Completions may be delivered from another
-  /// site's dispatch thread, the server's ticker thread, or the destructor;
-  /// RespondFns must tolerate all three (the reactor's do).
+  /// A get_task with wait_ms > 0 whose answer would be kNone is *parked*:
+  /// the RespondFn is retained and completed when the round
+  /// opens/advances/stops or the (clamped) wait expires, instead of
+  /// bouncing kNone back for the client to re-poll. At most one park per
+  /// site; a newer poll from the same site completes the older park with
+  /// kNone. Every other request — and a get_task with wait_ms = 0 — is
+  /// answered inline, before the call returns. Parked completions may be
+  /// delivered from another site's dispatch thread, the server's ticker
+  /// thread, or the destructor; RespondFns must tolerate all three (the
+  /// reactor's do).
   AsyncDispatcher async_dispatcher();
 
   /// Filters applied to every inbound contribution before aggregation.
@@ -224,7 +220,6 @@ class FederatedServer {
   }
 
  private:
-  std::vector<std::uint8_t> handle_sealed(const std::vector<std::uint8_t>& request);
   void handle_sealed_async(const std::vector<std::uint8_t>& request,
                            RespondFn respond);
   std::vector<std::uint8_t> handle_frame(const std::string& sender,
@@ -233,17 +228,16 @@ class FederatedServer {
                                            const std::vector<std::uint8_t>& key,
                                            const std::vector<std::uint8_t>& body);
 
-  /// Async-path get_task: parks the call (consuming `respond`) or stages an
-  /// immediate reply on ready_replies_. Only moves from `respond` on
-  /// success, so the caller's error paths can still answer after a throw.
-  void park_or_reply_get_task(const std::string& sender,
-                              const std::vector<std::uint8_t>& key,
-                              const GetTaskRequest& req, RespondFn& respond);
+  /// get_task: parks the call (consuming `respond`, returns nullopt) or
+  /// returns the reply body to answer inline. Only moves from `respond`
+  /// when it parks, so the caller's error paths can still answer after a
+  /// throw.
+  std::optional<std::vector<std::uint8_t>> park_or_reply_get_task(
+      const std::string& sender, const std::vector<std::uint8_t>& key,
+      const GetTaskRequest& req, RespondFn& respond);
 
   std::vector<std::uint8_t> on_register(const std::string& sender,
                                         const RegisterRequest& req);
-  std::vector<std::uint8_t> on_get_task(const std::string& sender,
-                                        const GetTaskRequest& req);
   std::vector<std::uint8_t> on_submit(const std::string& sender,
                                       const SubmitUpdateRequest& req);
   std::vector<std::uint8_t> on_unmask(const std::string& sender,

@@ -20,29 +20,70 @@ namespace cppflare::flare {
 
 namespace {
 
-/// Appends the privacy filters a site's outbound chain gets from the
-/// simulator config — DP (clip + noise) first, then the pre-scaling that
-/// stands in for server-side sample weighting under masking — and returns
-/// the site's mask filter (null when secure_agg is off). The caller adds
-/// the masker as the *last* filter, so whatever else touches the update
-/// (poisoning included) happens before it is hidden under masks.
-std::shared_ptr<SecureAggMaskFilter> add_privacy_filters(
-    const SimulatorConfig& config, std::int64_t index, const std::string& name,
-    const std::vector<std::string>& all_sites, FilterChain& chain) {
+/// The mask participants: exactly the client sites. The registry's "server"
+/// credential is a channel identity, not a masking peer — masks against a
+/// non-contributing name would never cancel.
+std::vector<std::string> client_site_names(std::int64_t num_clients) {
+  std::vector<std::string> names;
+  names.reserve(static_cast<std::size_t>(num_clients));
+  for (std::int64_t i = 0; i < num_clients; ++i) {
+    names.push_back("site-" + std::to_string(i + 1));
+  }
+  return names;
+}
+
+/// What every site's client session runs with, whichever I/O loop runs it.
+ClientConfig site_client_config(const SimulatorConfig& config) {
+  ClientConfig client;
+  client.job_id = config.job_id;
+  client.max_idle_ms = config.timeout_ms;
+  client.long_poll_ms = config.long_poll_ms;
+  client.retry = config.client_retry;
+  return client;
+}
+
+/// Appends the outbound filters a site gets from the simulator config and
+/// installs the matching unmask provider. `Client` is a FederatedClient or
+/// a ClientSession (the same two hooks). Order: DP (clip + noise), then the
+/// pre-scaling that stands in for server-side sample weighting under
+/// masking, then the poison filter of an adversarial site — after any
+/// customizer filters (privacy, clipping), so a site corrupts what it would
+/// actually have sent and its poison is not clipped back to sanity — and
+/// the mask filter last of all: whatever the site sends, honest or
+/// poisoned, is what gets hidden under masks.
+template <typename Client>
+void add_site_filters(const SimulatorConfig& config,
+                      const SimulatorRunner::PoisonPlanner& poison_planner,
+                      std::int64_t index, const std::string& name,
+                      const std::vector<std::string>& all_sites,
+                      Client& client) {
+  FilterChain& chain = client.outbound_filters();
   if (config.dp.enabled) {
     chain.add(std::make_shared<DpGaussianFilter>(
         config.dp.clip_norm, config.dp.noise_multiplier,
         config.dp.seed ^ (0x9e3779b97f4a7c15ull *
                           static_cast<std::uint64_t>(index + 1))));
   }
-  if (!config.secure_agg.enabled) return nullptr;
-  if (config.secure_agg.pre_scale) {
+  if (config.secure_agg.enabled && config.secure_agg.pre_scale) {
     chain.add(std::make_shared<PreScaleFilter>(
         config.num_clients, config.secure_agg.total_samples));
   }
-  return make_secure_agg_mask_filter(config.job_id, config.secure_agg.dealer_seed,
-                                     name, all_sites,
-                                     config.secure_agg.frac_bits);
+  if (poison_planner) {
+    if (const std::optional<PoisonPlan> plan = poison_planner(index, name)) {
+      chain.add(std::make_shared<PoisonFilter>(*plan));
+      LOG(warn).msg(name + " is ADVERSARIAL this run").kv("site", name);
+    }
+  }
+  if (!config.secure_agg.enabled) return;
+  std::shared_ptr<SecureAggMaskFilter> masker = make_secure_agg_mask_filter(
+      config.job_id, config.secure_agg.dealer_seed, name, all_sites,
+      config.secure_agg.frac_bits);
+  chain.add(masker);
+  client.set_unmask_provider(
+      [masker](const std::vector<std::string>& dropped, std::int64_t round,
+               const nn::StateDict& skeleton) {
+        return masker->unmask_share(dropped, round, skeleton);
+      });
 }
 
 /// Completion state shared by all multiplexed sites. `stopping` is the
@@ -57,243 +98,89 @@ struct MultiplexRun {
   std::vector<std::string> failed CF_GUARDED_BY(mu);
 };
 
-/// One site of the multiplexed simulator: an event-driven state machine
-/// (register -> long-poll -> train -> submit -> long-poll -> ... -> stop)
+/// One site of the multiplexed simulator: a pool-driven I/O loop for ClientSession
 /// over the server's async dispatcher. A site never owns a thread; each
-/// response is posted as a continuation to the shared worker pool, and
-/// while the site waits for a task its get_task is *parked server-side*,
+/// reply is posted as a continuation to the shared worker pool, and while
+/// the site waits for a task its get_task is *parked server-side*,
 /// occupying no worker at all. That is what lets 256 sites run on 8
 /// workers: at any instant only the sites actually training or decoding
 /// hold a thread.
 ///
 /// Threading: a site has exactly one exchange outstanding at a time, and
-/// each continuation schedules the next, so all mutable state below is
-/// accessed serially; the pool's queue mutex provides the happens-before
-/// edges between consecutive continuations.
+/// each continuation schedules the next, so the session is accessed
+/// serially; the pool's queue mutex provides the happens-before edges
+/// between consecutive continuations.
 class SimSite : public std::enable_shared_from_this<SimSite> {
  public:
-  SimSite(Credential credential, std::shared_ptr<Learner> learner,
-          AsyncDispatcher dispatch, core::ThreadPool* pool,
-          std::shared_ptr<MultiplexRun> run, std::string job_id,
-          std::int64_t long_poll_ms, FilterChain filters,
-          std::shared_ptr<SecureAggMaskFilter> masker)
-      : credential_(std::move(credential)),
-        learner_(std::move(learner)),
+  SimSite(ClientConfig config, Credential credential,
+          std::shared_ptr<Learner> learner, AsyncDispatcher dispatch,
+          core::ThreadPool* pool, std::shared_ptr<MultiplexRun> run)
+      : session_(std::move(config), std::move(credential), std::move(learner)),
         dispatch_(std::move(dispatch)),
         pool_(pool),
-        run_(std::move(run)),
-        job_id_(std::move(job_id)),
-        long_poll_ms_(long_poll_ms),
-        filters_(std::move(filters)),
-        masker_(std::move(masker)) {}
+        run_(std::move(run)) {}
+
+  ClientSession& session() { return session_; }
 
   void start() {
     auto self = shared_from_this();
-    pool_->post([self] { self->send_step(); });
+    pool_->post([self] { self->drive([&] { return self->session_.start(); }); });
   }
 
  private:
-  enum class Step { kRegister, kPoll, kSubmit, kUnmask };
-
-  /// Seals and dispatches the frame for the current step. The respond
-  /// callback only enqueues; all real work happens on a pool worker.
-  void send_step() {
-    std::vector<std::uint8_t> frame;
-    switch (step_) {
-      case Step::kRegister:
-        frame = pack(RegisterRequest{credential_.name, credential_.token});
-        break;
-      case Step::kPoll:
-        frame = pack(GetTaskRequest{session_id_, long_poll_ms_});
-        break;
-      case Step::kSubmit:
-        frame = pack(
-            SubmitUpdateRequest{session_id_, pending_round_, pending_update_});
-        break;
-      case Step::kUnmask:
-        frame = pack(UnmaskResponse{session_id_, unmask_round_, unmask_wave_,
-                                    unmask_share_});
-        break;
-    }
-    const std::vector<std::uint8_t> sealed_frame = seal(
-        credential_.name, credential_.secret, seq_.next(), frame, job_id_);
-    auto self = shared_from_this();
-    dispatch_(sealed_frame, [self](std::vector<std::uint8_t> response) {
-      self->enqueue(std::move(response));
-    });
-  }
-
-  /// Called from whatever thread completes the exchange (a pool worker for
-  /// immediate replies, the server's ticker or another site's worker for
-  /// parked ones). Posts the continuation unless the run is tearing down.
-  void enqueue(std::vector<std::uint8_t> response) {
-    core::MutexLock lock(run_->mu);
-    if (run_->stopping) return;  // runner gave up on us; pool may be dying
-    auto self = shared_from_this();
-    // std::function needs a copyable callable, so the buffer is captured by
-    // value (moved in; the pool's enqueue copies once).
-    pool_->post([self, buf = std::move(response)] { self->resume(buf); });
-  }
-
-  void resume(const std::vector<std::uint8_t>& response) {
+  /// Runs on a pool worker: takes the session's next step and acts on it.
+  /// The respond callback only enqueues; all real work happens on a worker.
+  template <typename NextStep>
+  void drive(NextStep next_step) {
     try {
-      const Envelope env = open(response, credential_.secret);
-      if (env.sender != "server") {
-        throw ProtocolError("response not from server but '" + env.sender + "'");
+      ClientStep step = next_step();
+      // In-process retries answer a momentarily unroutable job; waiting
+      // them out on the worker keeps the loop free of timers.
+      while (step.kind == ClientStep::Kind::kRetry) {
+        core::Backoff::sleep_ms(step.delay_ms);
+        step = session_.resend();
       }
-      server_seq_.check_and_advance(env.sender, env.sequence);
-      if (peek_type(env.payload) == MsgType::kError) {
-        handle_error(decode_error(env.payload));
+      if (step.kind == ClientStep::Kind::kDone) {
+        finish({});
         return;
       }
-      retries_ = 0;
-      switch (step_) {
-        case Step::kRegister: {
-          const RegisterAck ack = decode_register_ack(env.payload);
-          if (!ack.accepted) {
-            throw ProtocolError("registration rejected for " +
-                                credential_.name + ": " + ack.message);
-          }
-          session_id_ = ack.session_id;
-          step_ = after_register_;
-          after_register_ = Step::kPoll;
-          break;
-        }
-        case Step::kPoll: {
-          if (peek_type(env.payload) == MsgType::kUnmaskRequest) {
-            // Mask-recovery phase (DESIGN.md §14): reveal the sum of our
-            // pairwise masks against the dropped set so the server can
-            // finish the frozen round.
-            const UnmaskRequest req = decode_unmask_request(env.payload);
-            if (!masker_) {
-              throw ProtocolError(credential_.name +
-                                  ": unmask request but masking is off");
-            }
-            {
-              CF_TRACE_SPAN_SITE("client.unmask", credential_.name, req.round);
-              unmask_share_ = masker_->unmask_share(req.dropped, req.round,
-                                                    req.skeleton.data());
-            }
-            unmask_round_ = req.round;
-            unmask_wave_ = req.wave;
-            step_ = Step::kUnmask;
-            break;
-          }
-          const TaskMessage task = decode_task(env.payload);
-          if (task.task == TaskKind::kStop) {
-            finish({});
-            return;
-          }
-          // kNone: the long-poll budget expired (or this round sampled us
-          // out) — re-poll immediately; the server parks us again.
-          if (task.task == TaskKind::kTrain) {
-            train(task);
-            step_ = Step::kSubmit;
-          }
-          break;
-        }
-        case Step::kSubmit: {
-          const SubmitAck ack = decode_submit_ack(env.payload);
-          if (!ack.accepted && ack.message != kDuplicateContribution) {
-            LOG(warn)
-                .msg("contribution rejected:")
-                .msg(ack.message)
-                .kv("site", credential_.name)
-                .kv("reason", reject_reason_name(ack.reason));
-          }
-          step_ = Step::kPoll;
-          break;
-        }
-        case Step::kUnmask: {
-          const SubmitAck ack = decode_submit_ack(env.payload);
-          if (!ack.accepted) {
-            // Stale wave / recovery already resolved — harmless.
-            LOG(warn)
-                .msg("unmask share not accepted:")
-                .msg(ack.message)
-                .kv("site", credential_.name)
-                .kv("round", unmask_round_)
-                .kv("wave", unmask_wave_);
-          }
-          step_ = Step::kPoll;
-          break;
-        }
-      }
-      send_step();
+      auto self = shared_from_this();
+      dispatch_(step.frame, [self](std::vector<std::uint8_t> reply) {
+        self->enqueue(std::move(reply));
+      });
     } catch (const std::exception& e) {
       finish(e.what());
     }
   }
 
-  /// In-process transport: retryable faults cannot occur here (the fault
-  /// decorators are excluded in multiplexed mode), but honor the protocol
-  /// anyway — bounded resend for kRetryable, idempotent re-registration
-  /// (resuming the interrupted step) for kUnknownSession.
-  void handle_error(const ErrorMessage& err) {
-    if (err.code == ErrorCode::kRetryable && ++retries_ <= 5) {
-      send_step();
-      return;
-    }
-    if (err.code == ErrorCode::kUnknownSession && ++reregistrations_ <= 3) {
-      after_register_ = step_ == Step::kRegister ? Step::kPoll : step_;
-      step_ = Step::kRegister;
-      send_step();
-      return;
-    }
-    finish(credential_.name + ": server error: " + err.message);
-  }
-
-  void train(const TaskMessage& task) {
-    FLContext ctx;
-    ctx.job_id = job_id_;
-    ctx.site_name = credential_.name;
-    ctx.current_round = task.round;
-    ctx.total_rounds = task.total_rounds;
-    {
-      CF_TRACE_SPAN_SITE("client.train", credential_.name, task.round);
-      pending_update_ = learner_->train(task.payload, ctx);
-    }
-    if (!pending_update_.has_meta(Dxo::kMetaRound)) {
-      pending_update_.set_meta_int(Dxo::kMetaRound, task.round);
-    }
-    // Same order as FederatedClient::run(): stamp the round, then the
-    // outbound privacy chain (DP noise, pre-scaling, masking last).
-    filters_.process(pending_update_, ctx);
-    pending_round_ = task.round;
+  /// Called from whatever thread completes the exchange (a pool worker for
+  /// immediate replies, the server's ticker or another site's worker for
+  /// parked ones). Posts the continuation unless the run is tearing down.
+  void enqueue(std::vector<std::uint8_t> reply) {
+    core::MutexLock lock(run_->mu);
+    if (run_->stopping) return;  // runner gave up on us; pool may be dying
+    auto self = shared_from_this();
+    // std::function needs a copyable callable, so the buffer is captured by
+    // value (moved in; the pool's enqueue copies once).
+    pool_->post([self, buf = std::move(reply)] {
+      self->drive([&] { return self->session_.on_reply(buf, steady_now_ms()); });
+    });
   }
 
   void finish(const std::string& error) {
     if (!error.empty()) {
-      LOG(error).msg("site failed:").msg(error).kv("site", credential_.name);
+      LOG(error).msg("site failed:").msg(error).kv("site", session_.site_name());
     }
     core::MutexLock lock(run_->mu);
-    if (!error.empty()) run_->failed.push_back(credential_.name);
+    if (!error.empty()) run_->failed.push_back(session_.site_name());
     run_->remaining -= 1;
     run_->cv.notify_all();
   }
 
-  Credential credential_;
-  std::shared_ptr<Learner> learner_;
+  ClientSession session_;
   AsyncDispatcher dispatch_;
   core::ThreadPool* pool_;
   std::shared_ptr<MultiplexRun> run_;
-  std::string job_id_;
-  std::int64_t long_poll_ms_;
-  FilterChain filters_;
-  std::shared_ptr<SecureAggMaskFilter> masker_;
-
-  Step step_ = Step::kRegister;
-  Step after_register_ = Step::kPoll;
-  SequenceSource seq_;
-  SequenceTracker server_seq_;
-  std::string session_id_;
-  std::int64_t pending_round_ = 0;
-  Dxo pending_update_;
-  std::int64_t unmask_round_ = 0;
-  std::int64_t unmask_wave_ = 0;
-  Dxo unmask_share_;
-  std::int64_t retries_ = 0;
-  std::int64_t reregistrations_ = 0;
 };
 
 }  // namespace
@@ -482,47 +369,16 @@ SimulationResult SimulatorRunner::run() {
     };
   };
 
-  // The mask participant list is exactly the client sites: the registry's
-  // "server" credential is a channel identity, not a masking peer — masks
-  // against a non-contributing name would never cancel.
-  std::vector<std::string> site_names;
-  site_names.reserve(static_cast<std::size_t>(config_.num_clients));
-  for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-    site_names.push_back("site-" + std::to_string(i + 1));
-  }
-
+  const std::vector<std::string> site_names =
+      client_site_names(config_.num_clients);
   std::vector<std::unique_ptr<FederatedClient>> clients;
   for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-    const std::string name = "site-" + std::to_string(i + 1);
-    ClientConfig client_config;
-    client_config.job_id = config_.job_id;
-    client_config.max_idle_ms = config_.timeout_ms;
-    client_config.long_poll_ms = config_.long_poll_ms;
-    client_config.retry = config_.client_retry;
+    const std::string& name = site_names[static_cast<std::size_t>(i)];
     auto client = std::make_unique<FederatedClient>(
-        client_config, registry_.at(name), make_factory(i, name), factory_(i, name));
+        site_client_config(config_), registry_.at(name), make_factory(i, name),
+        factory_(i, name));
     if (customizer_) customizer_(*client);
-    const std::shared_ptr<SecureAggMaskFilter> masker = add_privacy_filters(
-        config_, i, name, site_names, client->outbound_filters());
-    // The poison filter goes in *after* the customizer's filters (privacy,
-    // clipping): an adversarial site corrupts what it would actually have
-    // sent, and its poison is not accidentally clipped back to sanity. The
-    // mask filter goes in last of all — whatever the site sends, honest or
-    // poisoned, is what gets hidden under masks.
-    if (poison_planner_) {
-      if (const std::optional<PoisonPlan> plan = poison_planner_(i, name)) {
-        client->outbound_filters().add(std::make_shared<PoisonFilter>(*plan));
-        LOG(warn).msg(name + " is ADVERSARIAL this run").kv("site", name);
-      }
-    }
-    if (masker) {
-      client->outbound_filters().add(masker);
-      client->set_unmask_provider(
-          [masker](const std::vector<std::string>& dropped, std::int64_t round,
-                   const nn::StateDict& skeleton) {
-            return masker->unmask_share(dropped, round, skeleton);
-          });
-    }
+    add_site_filters(config_, poison_planner_, i, name, site_names, *client);
     clients.push_back(std::move(client));
   }
 
@@ -580,27 +436,18 @@ SimulationResult SimulatorRunner::run_multiplexed(
   bool timed_out = false;
   {
     core::ThreadPool pool(static_cast<std::size_t>(config_.site_workers));
-    const std::int64_t long_poll =
-        std::max<std::int64_t>(1, config_.long_poll_ms);
-    // Client sites only — the registry's "server" entry is a channel
-    // identity, not a masking peer (see run()).
-    std::vector<std::string> site_names;
-    site_names.reserve(static_cast<std::size_t>(config_.num_clients));
-    for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-      site_names.push_back("site-" + std::to_string(i + 1));
-    }
+    const std::vector<std::string> site_names =
+        client_site_names(config_.num_clients);
     std::vector<std::shared_ptr<SimSite>> sites;
-    sites.reserve(static_cast<std::size_t>(config_.num_clients));
+    sites.reserve(site_names.size());
     for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-      const std::string name = "site-" + std::to_string(i + 1);
-      FilterChain filters;
-      std::shared_ptr<SecureAggMaskFilter> masker =
-          add_privacy_filters(config_, i, name, site_names, filters);
-      if (masker) filters.add(masker);
-      sites.push_back(std::make_shared<SimSite>(
-          registry_.at(name), factory_(i, name), job_runner_->async_router(),
-          &pool, run_state, config_.job_id, long_poll, std::move(filters),
-          std::move(masker)));
+      const std::string& name = site_names[static_cast<std::size_t>(i)];
+      auto site = std::make_shared<SimSite>(
+          site_client_config(config_), registry_.at(name), factory_(i, name),
+          job_runner_->async_router(), &pool, run_state);
+      add_site_filters(config_, poison_planner_, i, name, site_names,
+                       site->session());
+      sites.push_back(std::move(site));
     }
     for (const auto& site : sites) site->start();
 

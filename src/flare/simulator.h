@@ -111,10 +111,11 @@ struct SimulatorConfig {
   /// poll until a task is ready or this much time passed.
   std::int64_t long_poll_ms = 10000;
   /// Single-box scaling knob. 0 (default): one dedicated worker thread per
-  /// site — fine up to tens of sites. > 0: multiplex all sites over a pool
-  /// of this many workers using an event-driven per-site state machine on
-  /// the server's async dispatcher (a 256-site federation runs on 8
-  /// workers). The multiplexed mode is in-process only and excludes the
+  /// site, each a blocking FederatedClient — fine up to tens of sites.
+  /// > 0: multiplex all sites over a pool of this many workers, each site's
+  /// ClientSession driven by replies from the server's async dispatcher (a
+  /// 256-site federation runs on 8 workers). Both modes run the same
+  /// client protocol (client_session.h). The multiplexed mode is in-process only and excludes the
   /// per-connection decorators: it throws ConfigError when combined with
   /// use_tcp, a fault planner, a poison planner, or a client customizer.
   std::int64_t site_workers = 0;
@@ -238,7 +239,7 @@ class SimulatorRunner {
   SimulationResult run();
 
  private:
-  /// The site_workers > 0 path: event-driven sites multiplexed on a pool.
+  /// The site_workers > 0 path: client sessions multiplexed on a pool.
   SimulationResult run_multiplexed(std::chrono::steady_clock::time_point start,
                                    std::int64_t trace_t0);
   /// Shared tail of both paths: snapshot server state into the result,

@@ -145,10 +145,6 @@ ReactorOptions to_reactor_options(const TcpServerOptions& options) {
 
 }  // namespace
 
-TcpServer::TcpServer(std::uint16_t port, Dispatcher dispatcher,
-                     TcpServerOptions options)
-    : TcpServer(port, make_async(std::move(dispatcher)), options) {}
-
 TcpServer::TcpServer(std::uint16_t port, AsyncDispatcher dispatcher,
                      TcpServerOptions options) {
   const int listen_fd = make_listener(port, &port_);

@@ -40,21 +40,17 @@ struct TcpServerOptions {
   std::size_t worker_threads = 0;
 };
 
-/// Serves a Dispatcher (or AsyncDispatcher) on a TCP port. Since the
-/// scalable-coordinator PR every connection is multiplexed over one epoll
-/// reactor thread plus a bounded worker pool (reactor.h) instead of a
-/// handler thread per connection: N idle sites cost N parked fds, not N
-/// threads. Connections are persistent (many request/response exchanges).
-/// Destruction stops the listener, closes every connection, and joins the
-/// reactor thread and worker pool.
+/// Serves an AsyncDispatcher on a TCP port. Every connection is
+/// multiplexed over one epoll reactor thread plus a bounded worker pool
+/// (reactor.h) instead of a handler thread per connection: N idle sites
+/// cost N parked fds, not N threads. Connections are persistent (many
+/// request/response exchanges). Destruction stops the listener, closes
+/// every connection, and joins the reactor thread and worker pool.
 class TcpServer {
  public:
-  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port; see port()).
-  /// The synchronous-Dispatcher overload answers every request inline on a
-  /// worker; the AsyncDispatcher overload additionally lets the server park
-  /// requests (long-poll) and complete them later from any thread.
-  TcpServer(std::uint16_t port, Dispatcher dispatcher,
-            TcpServerOptions options = {});
+  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port; see port()). The
+  /// dispatcher runs on a reactor worker and may answer inline or park the
+  /// request (long-poll) and complete it later from any thread.
   TcpServer(std::uint16_t port, AsyncDispatcher dispatcher,
             TcpServerOptions options = {});
   ~TcpServer();

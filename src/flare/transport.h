@@ -1,19 +1,15 @@
 // Client->server request/response transports.
 //
-// The protocol layer only needs one primitive: a blocking `call` that
-// delivers sealed request bytes and returns sealed response bytes. Two
-// implementations exist:
-//  * InProcTransport — function call into the server's dispatcher, used by
-//    the simulator (NVFlare SimulatorRunner equivalent);
-//  * TcpConnection/TcpServer (tcp.h) — real sockets for multi-process runs.
-//
-// Since the scalable-coordinator PR the server side also has an *async*
-// shape: `AsyncDispatcher` hands the request to the server together with a
-// `RespondFn` completion, and the server may answer immediately or hold the
-// completion (a parked long-poll) and invoke it much later from a different
-// thread. The epoll reactor (reactor.h) and the long-poll protocol are built
-// on this; the synchronous `Dispatcher` remains for tests and simple
-// in-process callers, with adapters in both directions below.
+// The server side has one shape: an `AsyncDispatcher` takes sealed request
+// bytes together with a `RespondFn` completion, and the server may answer
+// immediately or hold the completion (a parked long-poll) and invoke it
+// much later from a different thread. Two transports deliver into it:
+//  * AsyncInProcConnection (below) — a function call into the dispatcher,
+//    used by the simulator (NVFlare SimulatorRunner equivalent);
+//  * TcpConnection/TcpServer (tcp.h) — real sockets over the epoll reactor
+//    (reactor.h) for multi-process runs.
+// The client side needs one primitive: a blocking `Connection::call` that
+// delivers sealed request bytes and returns sealed response bytes.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +22,6 @@
 #include "core/error.h"
 
 namespace cppflare::flare {
-
-/// Server-side entry point: sealed request bytes -> sealed response bytes.
-/// Must be thread-safe; multiple client connections call concurrently.
-using Dispatcher =
-    std::function<std::vector<std::uint8_t>(const std::vector<std::uint8_t>&)>;
 
 /// Completion for one async request. Invoke exactly once with the sealed
 /// response bytes; safe to call from any thread, including long after the
@@ -46,36 +37,10 @@ using RespondFn = std::function<void(std::vector<std::uint8_t>)>;
 using AsyncDispatcher = std::function<void(const std::vector<std::uint8_t>&,
                                            RespondFn)>;
 
-/// Adapts a synchronous Dispatcher to the async shape: every request is
-/// answered inline on the calling thread. Such a dispatcher can never park,
-/// so long-poll requests through it degrade to immediate answers.
-inline AsyncDispatcher make_async(Dispatcher dispatcher) {
-  return [dispatcher = std::move(dispatcher)](
-             const std::vector<std::uint8_t>& request, RespondFn respond) {
-    respond(dispatcher(request));
-  };
-}
-
-
 class Connection {
  public:
   virtual ~Connection() = default;
   virtual std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) = 0;
-};
-
-/// Zero-copy in-process connection: `call` invokes the dispatcher directly
-/// on the caller's thread.
-class InProcConnection : public Connection {
- public:
-  explicit InProcConnection(Dispatcher dispatcher)
-      : dispatcher_(std::move(dispatcher)) {}
-
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override {
-    return dispatcher_(request);
-  }
-
- private:
-  Dispatcher dispatcher_;
 };
 
 /// In-process connection over an AsyncDispatcher: `call` blocks the calling

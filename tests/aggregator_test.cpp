@@ -4,15 +4,12 @@
 
 #include "core/error.h"
 #include "core/logging.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
+using cppflare::testing::dict_of;
 
 Dxo weights_dxo(std::vector<float> w, std::int64_t samples) {
   Dxo dxo(DxoKind::kWeights, dict_of(std::move(w)));

@@ -43,15 +43,13 @@
 #include "flare/secure_channel.h"
 #include "flare/server.h"
 #include "flare/simulator.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace crash_harness {
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
+using cppflare::testing::dict_of;
+using cppflare::testing::ManualFederation;
 
 nn::StateDict tiny_model() { return dict_of({0.0f, 0.0f, 0.0f, 0.0f}); }
 
@@ -184,7 +182,7 @@ int run_wave(const std::string& dir, const std::string&) {
   FederatedServer server(config, registry, dict_of({0.0f, 0.0f}),
                          std::make_unique<MaskedFedAvgAggregator>(16),
                          persistor, persistor->load(), std::move(journal));
-  Dispatcher dispatcher = server.dispatcher();
+  ManualFederation fed(registry, server.async_dispatcher());
 
   std::vector<std::string> names = {"site-1", "site-2", "site-3", "site-4"};
   std::map<std::string, std::shared_ptr<SecureAggMaskFilter>> maskers;
@@ -192,20 +190,8 @@ int run_wave(const std::string& dir, const std::string&) {
     maskers[name] =
         make_secure_agg_mask_filter(config.job_id, 7, name, names);
   }
-  std::map<std::string, SequenceSource> seq;
-  std::map<std::string, std::string> sessions;
-  const auto call = [&](const std::string& site,
-                        const std::vector<std::uint8_t>& frame) {
-    const Credential& cred = registry.at(site);
-    const auto response =
-        dispatcher(seal(cred.name, cred.secret, seq[site].next(), frame));
-    return open(response, cred.secret).payload;
-  };
   for (const std::string& site : names) {
-    const RegisterAck ack = decode_register_ack(
-        call(site, pack(RegisterRequest{site, registry.at(site).token})));
-    if (!ack.accepted) return 4;
-    sessions[site] = ack.session_id;
+    if (fed.register_site(site).empty()) return 4;
   }
 
   const std::map<std::string, std::vector<float>> values = {
@@ -218,18 +204,15 @@ int run_wave(const std::string& dir, const std::string&) {
   for (int spin = 0; spin < 3000 && !server.finished() && !server.aborted();
        ++spin) {
     for (const std::string site : {"site-1", "site-2", "site-3"}) {
-      const auto frame = call(site, pack(GetTaskRequest{sessions.at(site)}));
+      const auto frame = fed.poll(site);
       if (peek_type(frame) == MsgType::kTask &&
           decode_task(frame).task == TaskKind::kTrain) {
-        SubmitUpdateRequest req;
-        req.session_id = sessions.at(site);
-        req.round = 0;
-        req.payload = Dxo(DxoKind::kWeights, dict_of(values.at(site)));
-        req.payload.set_meta_int(Dxo::kMetaNumSamples, 10);
+        Dxo update(DxoKind::kWeights, dict_of(values.at(site)));
+        update.set_meta_int(Dxo::kMetaNumSamples, 10);
         FLContext ctx;
         ctx.current_round = 0;
-        maskers.at(site)->process(req.payload, ctx);
-        (void)decode_submit_ack(call(site, pack(req)));
+        maskers.at(site)->process(update, ctx);
+        (void)fed.submit_dxo(site, 0, std::move(update));
       } else if (peek_type(frame) == MsgType::kUnmaskRequest &&
                  answered.count(site) != 0) {
         const UnmaskRequest req = decode_unmask_request(frame);
@@ -237,8 +220,8 @@ int run_wave(const std::string& dir, const std::string&) {
           const Dxo share = maskers.at(site)->unmask_share(
               req.dropped, req.round, req.skeleton.data());
           (void)decode_submit_ack(
-              call(site, pack(UnmaskResponse{sessions.at(site), req.round,
-                                             req.wave, share})));
+              fed.call(site, pack(UnmaskResponse{fed.session(site), req.round,
+                                                 req.wave, share})));
           answered.at(site) = req.wave;
         }
       }

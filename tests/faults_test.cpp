@@ -26,9 +26,15 @@
 #include "flare/secure_channel.h"
 #include "flare/server.h"
 #include "flare/simulator.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
+
+using cppflare::testing::bit_equal;
+using cppflare::testing::dict_of;
+using cppflare::testing::ManualFederation;
+using cppflare::testing::NudgeLearner;
 
 class FaultsTest : public ::testing::Test {
  protected:
@@ -47,55 +53,7 @@ class FaultsTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
-
 nn::StateDict tiny_model() { return dict_of({0.0f, 0.0f, 0.0f, 0.0f}); }
-
-/// Bitwise model equality — the acceptance bar for fault-tolerant runs.
-bool bit_equal(const nn::StateDict& a, const nn::StateDict& b) {
-  if (!a.congruent_with(b)) return false;
-  auto ia = a.entries().begin();
-  auto ib = b.entries().begin();
-  for (; ia != a.entries().end(); ++ia, ++ib) {
-    if (std::memcmp(ia->second.values.data(), ib->second.values.data(),
-                    ia->second.values.size() * sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Deterministic learner: nudges every weight halfway toward a per-site
-/// target. The result of a round is a pure function of the incoming model,
-/// so any two runs that execute the same rounds agree bit-for-bit.
-class NudgeLearner : public Learner {
- public:
-  NudgeLearner(std::string site, float target, std::int64_t train_ms = 0)
-      : site_(std::move(site)), target_(target), train_ms_(train_ms) {}
-
-  Dxo train(const Dxo& global, const FLContext&) override {
-    core::Backoff::sleep_ms(train_ms_);
-    nn::StateDict updated = global.data();
-    for (auto& [name, blob] : updated.entries()) {
-      for (float& v : blob.values) v += 0.5f * (target_ - v);
-    }
-    Dxo update(DxoKind::kWeights, updated);
-    update.set_meta_int(Dxo::kMetaNumSamples, 10);
-    update.set_meta_double(Dxo::kMetaTrainLoss, 1.0);
-    update.set_meta_double(Dxo::kMetaValidAcc, 0.5);
-    return update;
-  }
-  std::string site_name() const override { return site_; }
-
- private:
-  std::string site_;
-  float target_;
-  std::int64_t train_ms_;
-};
 
 SimulatorRunner make_runner(SimulatorConfig config, std::int64_t train_ms = 0) {
   return SimulatorRunner(
@@ -291,57 +249,6 @@ TEST_F(FaultsTest, ClientGivesUpAfterRetryBudgetAgainstDeadServer) {
 // ---------------------------------------------------------------------------
 // Server degradation: deadlines, eviction, abort
 // ---------------------------------------------------------------------------
-
-/// Manual-dispatcher harness: drives the server protocol one sealed frame
-/// at a time so tests control exactly who is heard from and when.
-class ManualFederation {
- public:
-  ManualFederation(ServerConfig config, std::int64_t num_sites)
-      : registry_(Provisioner(config.job_id, 17).provision_sites(num_sites)),
-        server_(std::make_unique<FederatedServer>(
-            config, registry_, dict_of({0.0f, 0.0f}),
-            std::make_unique<FedAvgAggregator>(true))),
-        dispatcher_(server_->dispatcher()) {}
-
-  FederatedServer& server() { return *server_; }
-
-  std::vector<std::uint8_t> call(const std::string& site,
-                                 const std::vector<std::uint8_t>& frame) {
-    const Credential& cred = registry_.at(site);
-    const auto response =
-        dispatcher_(seal(cred.name, cred.secret, seq_[site].next(), frame));
-    return open(response, cred.secret).payload;
-  }
-
-  std::string register_site(const std::string& site) {
-    const RegisterAck ack = decode_register_ack(
-        call(site, pack(RegisterRequest{site, registry_.at(site).token})));
-    EXPECT_TRUE(ack.accepted);
-    sessions_[site] = ack.session_id;
-    return ack.session_id;
-  }
-
-  TaskMessage get_task(const std::string& site) {
-    return decode_task(call(site, pack(GetTaskRequest{sessions_.at(site)})));
-  }
-
-  SubmitAck submit(const std::string& site, std::int64_t round,
-                   std::vector<float> weights) {
-    SubmitUpdateRequest req;
-    req.session_id = sessions_.at(site);
-    req.round = round;
-    req.payload = Dxo(DxoKind::kWeights, dict_of(std::move(weights)));
-    req.payload.set_meta_int(Dxo::kMetaNumSamples, 10);
-    return decode_submit_ack(call(site, pack(req)));
-  }
-
- private:
-  std::map<std::string, Credential> registry_;
-  std::unique_ptr<FederatedServer> server_;
-  Dispatcher dispatcher_;
-  std::map<std::string, SequenceSource> seq_;
-  std::map<std::string, std::string> sessions_;
-};
 
 TEST_F(FaultsTest, WaitUntilFinishedWakesOnAbort) {
   ServerConfig config;

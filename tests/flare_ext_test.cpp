@@ -12,15 +12,12 @@
 #include "flare/secure_agg.h"
 #include "flare/server.h"
 #include "flare/simulator.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
+using cppflare::testing::dict_of;
 
 RoundMetrics metrics_with(double acc, double loss) {
   RoundMetrics m;

@@ -38,15 +38,12 @@
 #include "flare/provision.h"
 #include "flare/secure_channel.h"
 #include "flare/tcp.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace jobs_harness {
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
+using cppflare::testing::dict_of;
 
 nn::StateDict tiny_model() { return dict_of({0.0f, 0.0f, 0.0f}); }
 
@@ -199,6 +196,7 @@ using jobs_harness::drive_job;
 using jobs_harness::make_pool;
 using jobs_harness::make_spec;
 using jobs_harness::model_bytes;
+using cppflare::testing::ManualFederation;
 
 #if defined(__SANITIZE_THREAD__)
 constexpr bool kTsan = true;
@@ -512,20 +510,17 @@ TEST_F(JobsTest, CrossJobReplayDoesNotPoisonTheReplayTracker) {
   runner.submit(make_spec("job-a", 1, 2));
   runner.submit(make_spec("job-b", 1, 2));
   const Credential& site = pool.at("site-1");
-  Dispatcher dispatch = runner.server("job-b").dispatcher();
+  ManualFederation job_b(pool, runner.server("job-b").async_dispatcher(),
+                         "job-b");
 
   const std::vector<std::uint8_t> replayed =
       seal("site-1", site.secret, 1000,
            pack(RegisterRequest{"site-1", site.token}), "job-a");
-  Envelope reply = open(dispatch(replayed), site.secret);
+  const Envelope reply = open(job_b.exchange(replayed), site.secret);
   EXPECT_EQ(decode_error(reply.payload).code, ErrorCode::kWrongJob);
 
   // The site's first legitimate job-b frame (sequence 1) still goes through.
-  const std::vector<std::uint8_t> legit =
-      seal("site-1", site.secret, 1,
-           pack(RegisterRequest{"site-1", site.token}), "job-b");
-  reply = open(dispatch(legit), site.secret);
-  EXPECT_TRUE(decode_register_ack(reply.payload).accepted);
+  EXPECT_FALSE(job_b.register_site("site-1").empty());
 
   EXPECT_TRUE(runner.abort("job-a", "test teardown"));
   EXPECT_TRUE(runner.abort("job-b", "test teardown"));
@@ -541,12 +536,12 @@ TEST_F(JobsTest, UnknownSendersCannotEnumerateHostedJobIds) {
   JobRunner runner(pool);
   runner.submit(make_spec("job-a", 1, 2));
   runner.submit(make_spec("job-b", 1, 2));
-  Dispatcher dispatch = runner.router();
+  ManualFederation router(pool, runner.async_router());
   const std::vector<std::uint8_t> empty_key;
   const auto probe = [&](const std::string& job_id) {
     const std::vector<std::uint8_t> frame =
         seal("mallory", empty_key, 1, pack(GetTaskRequest{"s", 0}), job_id);
-    const Envelope reply = open(dispatch(frame), empty_key);
+    const Envelope reply = open(router.exchange(frame), empty_key);
     return decode_error(reply.payload);
   };
   const ErrorMessage hosted = probe("job-a");     // hosted here

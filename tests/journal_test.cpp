@@ -32,9 +32,14 @@
 #include "flare/secure_channel.h"
 #include "flare/server.h"
 #include "flare/simulator.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
+
+using cppflare::testing::bit_equal;
+using cppflare::testing::dict_of;
+using cppflare::testing::ManualFederation;
 
 class JournalTest : public ::testing::Test {
  protected:
@@ -54,25 +59,6 @@ class JournalTest : public ::testing::Test {
   }
   std::filesystem::path dir_;
 };
-
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
-
-bool bit_equal(const nn::StateDict& a, const nn::StateDict& b) {
-  if (!a.congruent_with(b)) return false;
-  auto ia = a.entries().begin();
-  auto ib = b.entries().begin();
-  for (; ia != a.entries().end(); ++ia, ++ib) {
-    if (std::memcmp(ia->second.values.data(), ib->second.values.data(),
-                    ia->second.values.size() * sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 Dxo sample_update(float v) {
   Dxo update(DxoKind::kWeights, dict_of({v, v * 2}));
@@ -337,79 +323,39 @@ TEST_F(JournalTest, BitRotSurfacesAsWalCorruption) {
 // Mid-round server restart, one sealed frame at a time
 // ---------------------------------------------------------------------------
 
-/// Wire-level driver that can kill and restart its server against the same
+/// The wire harness over a server it can kill and restart against the same
 /// persistor + journal files, exactly as a crashed coordinator would come
 /// back: fresh process state, same durable state.
-class RestartableFederation {
+class RestartableFederation : public ManualFederation {
  public:
   RestartableFederation(ServerConfig config, std::int64_t num_sites,
                         std::string persist_path, std::string journal_path)
-      : config_(std::move(config)),
-        registry_(Provisioner(config_.job_id, 17).provision_sites(num_sites)),
+      : ManualFederation(
+            Provisioner(config.job_id, 17).provision_sites(num_sites)),
+        config_(std::move(config)),
         persist_path_(std::move(persist_path)),
         journal_path_(std::move(journal_path)) {
-    boot();
+    restart();
   }
 
   /// Tears the server down (losing all in-memory round state) and builds a
   /// successor from the checkpoint + journal files alone.
   void restart() {
-    server_.reset();
-    boot();
-  }
-
-  FederatedServer& server() { return *server_; }
-
-  std::vector<std::uint8_t> call(const std::string& site,
-                                 const std::vector<std::uint8_t>& frame) {
-    const Credential& cred = registry_.at(site);
-    const auto response =
-        dispatcher_(seal(cred.name, cred.secret, seq_[site].next(), frame));
-    return open(response, cred.secret).payload;
-  }
-
-  void register_site(const std::string& site) {
-    const RegisterAck ack = decode_register_ack(
-        call(site, pack(RegisterRequest{site, registry_.at(site).token})));
-    ASSERT_TRUE(ack.accepted);
-    sessions_[site] = ack.session_id;
-  }
-
-  TaskMessage poll(const std::string& site) {
-    return decode_task(call(site, pack(GetTaskRequest{sessions_.at(site)})));
-  }
-
-  SubmitAck submit(const std::string& site, std::int64_t round,
-                   std::vector<float> weights) {
-    SubmitUpdateRequest req;
-    req.session_id = sessions_.at(site);
-    req.round = round;
-    req.payload = Dxo(DxoKind::kWeights, dict_of(std::move(weights)));
-    req.payload.set_meta_int(Dxo::kMetaNumSamples, 10);
-    return decode_submit_ack(call(site, pack(req)));
+    ManualFederation::restart([this] {
+      auto persistor = std::make_shared<ModelPersistor>(persist_path_);
+      auto journal = std::make_shared<RoundJournal>(
+          journal_path_, core::WalSyncPolicy::kEveryRound);
+      return std::make_unique<FederatedServer>(
+          config_, registry(), dict_of({0.0f, 0.0f}),
+          std::make_unique<FedAvgAggregator>(false), persistor,
+          persistor->load(), std::move(journal));
+    });
   }
 
  private:
-  void boot() {
-    auto persistor = std::make_shared<ModelPersistor>(persist_path_);
-    auto journal = std::make_shared<RoundJournal>(
-        journal_path_, core::WalSyncPolicy::kEveryRound);
-    server_ = std::make_unique<FederatedServer>(
-        config_, registry_, dict_of({0.0f, 0.0f}),
-        std::make_unique<FedAvgAggregator>(false), persistor,
-        persistor->load(), std::move(journal));
-    dispatcher_ = server_->dispatcher();
-    sessions_.clear();  // sessions are process state; they died with it
-  }
-
   ServerConfig config_;
-  std::map<std::string, Credential> registry_;
   std::string persist_path_;
   std::string journal_path_;
-  std::unique_ptr<FederatedServer> server_;
-  Dispatcher dispatcher_;
-  std::map<std::string, SequenceSource> seq_;
-  std::map<std::string, std::string> sessions_;
 };
 
 TEST_F(JournalTest, RestartedServerResumesMidRoundWithIdempotentAcks) {
@@ -439,9 +385,9 @@ TEST_F(JournalTest, RestartedServerResumesMidRoundWithIdempotentAcks) {
   // from replayed state — site-1's resend maps to the duplicate-contribution
   // success, site-2's resend gets the identical typed rejection — and
   // neither is handed the train task again.
-  EXPECT_EQ(fed.poll("site-1").task, TaskKind::kNone);
-  EXPECT_EQ(fed.poll("site-2").task, TaskKind::kNone);
-  EXPECT_EQ(fed.poll("site-3").task, TaskKind::kTrain);
+  EXPECT_EQ(fed.get_task("site-1").task, TaskKind::kNone);
+  EXPECT_EQ(fed.get_task("site-2").task, TaskKind::kNone);
+  EXPECT_EQ(fed.get_task("site-3").task, TaskKind::kTrain);
   const SubmitAck dup = fed.submit("site-1", 0, {2.0f, 4.0f});
   EXPECT_FALSE(dup.accepted);
   EXPECT_EQ(dup.reason, RejectReason::kDuplicate);

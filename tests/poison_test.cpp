@@ -24,9 +24,15 @@
 #include "flare/server.h"
 #include "flare/simulator.h"
 #include "flare/validator.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
+
+using cppflare::testing::bit_equal;
+using cppflare::testing::dict_of;
+using cppflare::testing::ManualFederation;
+using cppflare::testing::NudgeLearner;
 
 class PoisonTest : public ::testing::Test {
  protected:
@@ -45,30 +51,11 @@ class PoisonTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
-
 /// Four weights at 5.0: far enough from every site's nudge target that both
 /// the scale and the sign-flip attack produce deviation norms the robust
 /// z-score separates cleanly from honest heterogeneity (hand-checked in the
 /// outlier tests below).
 nn::StateDict tiny_model() { return dict_of({5.0f, 5.0f, 5.0f, 5.0f}); }
-
-bool bit_equal(const nn::StateDict& a, const nn::StateDict& b) {
-  if (!a.congruent_with(b)) return false;
-  auto ia = a.entries().begin();
-  auto ib = b.entries().begin();
-  for (; ia != a.entries().end(); ++ia, ++ib) {
-    if (std::memcmp(ia->second.values.data(), ib->second.values.data(),
-                    ia->second.values.size() * sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 bool any_non_finite(const nn::StateDict& d) {
   for (const auto& [name, blob] : d.entries()) {
@@ -78,34 +65,6 @@ bool any_non_finite(const nn::StateDict& d) {
   }
   return false;
 }
-
-/// Deterministic learner (same as faults_test): nudges every weight halfway
-/// toward a per-site target, so any two runs executing the same honest
-/// rounds agree bit-for-bit.
-class NudgeLearner : public Learner {
- public:
-  NudgeLearner(std::string site, float target, std::int64_t train_ms = 0)
-      : site_(std::move(site)), target_(target), train_ms_(train_ms) {}
-
-  Dxo train(const Dxo& global, const FLContext&) override {
-    core::Backoff::sleep_ms(train_ms_);
-    nn::StateDict updated = global.data();
-    for (auto& [name, blob] : updated.entries()) {
-      for (float& v : blob.values) v += 0.5f * (target_ - v);
-    }
-    Dxo update(DxoKind::kWeights, updated);
-    update.set_meta_int(Dxo::kMetaNumSamples, 10);
-    update.set_meta_double(Dxo::kMetaTrainLoss, 1.0);
-    update.set_meta_double(Dxo::kMetaValidAcc, 0.5);
-    return update;
-  }
-  std::string site_name() const override { return site_; }
-
- private:
-  std::string site_;
-  float target_;
-  std::int64_t train_ms_;
-};
 
 SimulatorRunner make_runner(SimulatorConfig config, std::int64_t train_ms = 0) {
   return SimulatorRunner(
@@ -406,65 +365,11 @@ TEST_F(PoisonTest, ReputationDisabledNeverQuarantines) {
 // Server integration: typed acks, revocation, quarantine, parole
 // ---------------------------------------------------------------------------
 
-/// Manual-dispatcher harness (same shape as faults_test): drives the server
-/// protocol one sealed frame at a time with full control over payloads.
-class ManualFederation {
- public:
-  ManualFederation(ServerConfig config, std::int64_t num_sites,
-                   nn::StateDict initial = dict_of({5.0f, 5.0f}))
-      : registry_(Provisioner(config.job_id, 17).provision_sites(num_sites)),
-        server_(std::make_unique<FederatedServer>(
-            config, registry_, std::move(initial),
-            std::make_unique<FedAvgAggregator>(true))),
-        dispatcher_(server_->dispatcher()) {}
-
-  FederatedServer& server() { return *server_; }
-
-  std::vector<std::uint8_t> call(const std::string& site,
-                                 const std::vector<std::uint8_t>& frame) {
-    const Credential& cred = registry_.at(site);
-    const auto response =
-        dispatcher_(seal(cred.name, cred.secret, seq_[site].next(), frame));
-    return open(response, cred.secret).payload;
-  }
-
-  void register_site(const std::string& site) {
-    const RegisterAck ack = decode_register_ack(
-        call(site, pack(RegisterRequest{site, registry_.at(site).token})));
-    EXPECT_TRUE(ack.accepted);
-    sessions_[site] = ack.session_id;
-  }
-
-  void register_all(std::int64_t num_sites) {
-    for (std::int64_t i = 0; i < num_sites; ++i) {
-      register_site("site-" + std::to_string(i + 1));
-    }
-  }
-
-  TaskMessage get_task(const std::string& site) {
-    return decode_task(call(site, pack(GetTaskRequest{sessions_.at(site)})));
-  }
-
-  SubmitAck submit_dxo(const std::string& site, std::int64_t round, Dxo dxo) {
-    SubmitUpdateRequest req;
-    req.session_id = sessions_.at(site);
-    req.round = round;
-    req.payload = std::move(dxo);
-    return decode_submit_ack(call(site, pack(req)));
-  }
-
-  SubmitAck submit(const std::string& site, std::int64_t round,
-                   std::vector<float> weights) {
-    return submit_dxo(site, round, honest_update(std::move(weights), round));
-  }
-
- private:
-  std::map<std::string, Credential> registry_;
-  std::unique_ptr<FederatedServer> server_;
-  Dispatcher dispatcher_;
-  std::map<std::string, SequenceSource> seq_;
-  std::map<std::string, std::string> sessions_;
-};
+/// Submits an honest update: plain weights, 10 samples, the round stamped.
+SubmitAck submit_honest(ManualFederation& fed, const std::string& site,
+                        std::int64_t round, std::vector<float> weights) {
+  return fed.submit_dxo(site, round, honest_update(std::move(weights), round));
+}
 
 TEST_F(PoisonTest, ServerAcksCarryTypedRejectReasons) {
   ServerConfig config;
@@ -472,7 +377,7 @@ TEST_F(PoisonTest, ServerAcksCarryTypedRejectReasons) {
   config.num_rounds = 2;
   config.expected_clients = 2;
   config.min_clients = 2;
-  ManualFederation fed(config, 2);
+  ManualFederation fed(config, 2, dict_of({5.0f, 5.0f}));
   fed.register_all(2);
 
   // Non-finite payload.
@@ -501,7 +406,7 @@ TEST_F(PoisonTest, ServerAcksCarryTypedRejectReasons) {
   // contributions, which aborts the run rather than averaging nothing.
   EXPECT_TRUE(fed.server().aborted());
   EXPECT_NE(fed.server().abort_reason().find("rejected"), std::string::npos);
-  const SubmitAck dead = fed.submit("site-1", 0, {1.0f, 1.0f});
+  const SubmitAck dead = submit_honest(fed, "site-1", 0, {1.0f, 1.0f});
   EXPECT_EQ(dead.reason, RejectReason::kRunOver);
 }
 
@@ -511,9 +416,9 @@ TEST_F(PoisonTest, RejectedSitesDoNotStallTheRound) {
   config.num_rounds = 1;
   config.expected_clients = 3;
   config.min_clients = 3;
-  ManualFederation fed(config, 3);
+  ManualFederation fed(config, 3, dict_of({5.0f, 5.0f}));
   fed.register_all(3);
-  EXPECT_TRUE(fed.submit("site-1", 0, {1.0f, 1.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-1", 0, {1.0f, 1.0f}).accepted);
   EXPECT_EQ(fed.submit_dxo("site-2", 0,
                            Dxo(DxoKind::kWeights, dict_of({std::nanf(""), 0.0f})))
                 .reason,
@@ -521,7 +426,7 @@ TEST_F(PoisonTest, RejectedSitesDoNotStallTheRound) {
   // site-2 is resolved (rejected); site-3's acceptance completes the round
   // without any deadline machinery.
   EXPECT_FALSE(fed.server().finished());
-  EXPECT_TRUE(fed.submit("site-3", 0, {3.0f, 3.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-3", 0, {3.0f, 3.0f}).accepted);
   EXPECT_TRUE(fed.server().finished());
   const auto history = fed.server().history();
   ASSERT_EQ(history.size(), 1u);
@@ -538,15 +443,15 @@ TEST_F(PoisonTest, NormOutlierRevokedAtRoundClose) {
   config.min_clients = 5;
   config.validator.norm_zscore_threshold = 6.0;
   config.validator.min_updates_for_outlier = 4;
-  ManualFederation fed(config, 5);
+  ManualFederation fed(config, 5, dict_of({5.0f, 5.0f}));
   fed.register_all(5);
   // Everyone is admitted at submit time — the outlier verdict needs the
   // round's complete norm population.
-  EXPECT_TRUE(fed.submit("site-1", 0, {5.0f, 5.0f}).accepted);
-  EXPECT_TRUE(fed.submit("site-2", 0, {4.0f, 4.0f}).accepted);
-  EXPECT_TRUE(fed.submit("site-3", 0, {6.0f, 6.0f}).accepted);
-  EXPECT_TRUE(fed.submit("site-4", 0, {5.5f, 5.5f}).accepted);
-  EXPECT_TRUE(fed.submit("site-5", 0, {-50.0f, -50.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-1", 0, {5.0f, 5.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-2", 0, {4.0f, 4.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-3", 0, {6.0f, 6.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-4", 0, {5.5f, 5.5f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-5", 0, {-50.0f, -50.0f}).accepted);
   EXPECT_TRUE(fed.server().finished());
   const auto history = fed.server().history();
   ASSERT_EQ(history.size(), 1u);
@@ -566,7 +471,7 @@ TEST_F(PoisonTest, QuarantineScoringAndParoleReadmitsCleanSite) {
   config.min_clients = 1;
   config.reputation.quarantine_after = 1;
   config.reputation.parole_after = 2;
-  ManualFederation fed(config, 2);
+  ManualFederation fed(config, 2, dict_of({5.0f, 5.0f}));
   fed.register_all(2);
 
   // Round 0: site-2 submits NaN -> strike 1 -> quarantined on the spot.
@@ -575,23 +480,23 @@ TEST_F(PoisonTest, QuarantineScoringAndParoleReadmitsCleanSite) {
   EXPECT_EQ(bad.reason, RejectReason::kNonFinite);
   EXPECT_EQ(fed.server().quarantined_sites(),
             (std::vector<std::string>{"site-2"}));
-  EXPECT_TRUE(fed.submit("site-1", 0, {4.0f, 4.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-1", 0, {4.0f, 4.0f}).accepted);
 
   // Rounds 1-2: site-2 is clean while quarantined. Its uploads are scored
   // (kQuarantined ack), excluded from aggregation, and grow the parole
   // streak; the global model follows site-1 alone.
   for (std::int64_t round = 1; round <= 2; ++round) {
-    const SubmitAck scored = fed.submit("site-2", round, {5.0f, 5.0f});
+    const SubmitAck scored = submit_honest(fed, "site-2", round, {5.0f, 5.0f});
     EXPECT_FALSE(scored.accepted);
     EXPECT_EQ(scored.reason, RejectReason::kQuarantined);
-    EXPECT_TRUE(fed.submit("site-1", round, {4.0f, 4.0f}).accepted);
+    EXPECT_TRUE(submit_honest(fed, "site-1", round, {4.0f, 4.0f}).accepted);
     EXPECT_EQ(fed.server().history().back().num_contributions, 1);
   }
   // Parole landed at round 2's close; round 3 re-admits site-2.
   EXPECT_TRUE(fed.server().quarantined_sites().empty());
   EXPECT_EQ(fed.get_task("site-2").task, TaskKind::kTrain);
-  EXPECT_TRUE(fed.submit("site-2", 3, {5.0f, 5.0f}).accepted);
-  EXPECT_TRUE(fed.submit("site-1", 3, {4.0f, 4.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-2", 3, {5.0f, 5.0f}).accepted);
+  EXPECT_TRUE(submit_honest(fed, "site-1", 3, {4.0f, 4.0f}).accepted);
   const auto history = fed.server().history();
   ASSERT_EQ(history.size(), 4u);
   EXPECT_EQ(history[3].num_contributions, 2);
@@ -609,7 +514,7 @@ TEST_F(PoisonTest, QuarantinedSiteStaysLockedUpWhileStillAttacking) {
   config.min_clients = 1;
   config.reputation.quarantine_after = 1;
   config.reputation.parole_after = 1;
-  ManualFederation fed(config, 2);
+  ManualFederation fed(config, 2, dict_of({5.0f, 5.0f}));
   fed.register_all(2);
   for (std::int64_t round = 0; round < 4; ++round) {
     const SubmitAck ack = fed.submit_dxo(
@@ -618,7 +523,7 @@ TEST_F(PoisonTest, QuarantinedSiteStaysLockedUpWhileStillAttacking) {
     EXPECT_FALSE(ack.accepted);
     EXPECT_EQ(ack.reason, round == 0 ? RejectReason::kNonFinite
                                      : RejectReason::kQuarantined);
-    EXPECT_TRUE(fed.submit("site-1", round, {4.0f, 4.0f}).accepted);
+    EXPECT_TRUE(submit_honest(fed, "site-1", round, {4.0f, 4.0f}).accepted);
   }
   // Scored uploads kept failing the screen: no parole.
   EXPECT_EQ(fed.server().quarantined_sites(),

@@ -8,15 +8,12 @@
 #include "core/logging.h"
 #include "flare/robust_aggregator.h"
 #include "flare/simulator.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
+using cppflare::testing::dict_of;
 
 Dxo weights_dxo(std::vector<float> w, std::int64_t samples = 1) {
   Dxo dxo(DxoKind::kWeights, dict_of(std::move(w)));
@@ -219,7 +216,8 @@ TEST_F(DeadlineTest, RoundClosesWithoutStraggler) {
                : std::make_shared<FastLearner>(name);
     clients.push_back(std::make_unique<FederatedClient>(
         cc, registry.at(name),
-        std::make_unique<InProcConnection>(server.dispatcher()), learner));
+        std::make_unique<AsyncInProcConnection>(server.async_dispatcher()),
+        learner));
   }
   const auto start = std::chrono::steady_clock::now();
   for (auto& c : clients) {

@@ -12,15 +12,12 @@
 #include "core/logging.h"
 #include "flare/hierarchy.h"
 #include "flare/simulator.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
+using cppflare::testing::dict_of;
 
 /// Exact (bit-level) StateDict comparison — the hierarchical-vs-flat and
 /// reproducibility guarantees are memcmp-equal, not approximately equal.

@@ -30,9 +30,14 @@
 #include "flare/secure_channel.h"
 #include "flare/server.h"
 #include "flare/simulator.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
+
+using cppflare::testing::bit_equal;
+using cppflare::testing::dict_of;
+using cppflare::testing::ManualFederation;
 
 class SecureRecoveryTest : public ::testing::Test {
  protected:
@@ -44,26 +49,7 @@ class SecureRecoveryTest : public ::testing::Test {
   }
 };
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
-
 nn::StateDict tiny_model() { return dict_of({0.0f, 0.0f, 0.0f, 0.0f}); }
-
-bool bit_equal(const nn::StateDict& a, const nn::StateDict& b) {
-  if (!a.congruent_with(b)) return false;
-  auto ia = a.entries().begin();
-  auto ib = b.entries().begin();
-  for (; ia != a.entries().end(); ++ia, ++ib) {
-    if (std::memcmp(ia->second.values.data(), ib->second.values.data(),
-                    ia->second.values.size() * sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Counters are created on first increment, so a clean counter (e.g. zero
 /// demotions) is legitimately absent from the snapshot.
@@ -315,18 +301,15 @@ TEST_F(SecureRecoveryTest, DpComposesWithMaskingAndSurvivesADrop) {
 // Wire-level recovery state machine
 // ---------------------------------------------------------------------------
 
-/// Drives the masked server one sealed frame at a time — the test controls
-/// exactly who is heard from and when, so recovery transitions are pinned
-/// down deterministically.
-class ManualMaskedFederation {
+/// The wire harness over a masked server, plus the sites' mask filters —
+/// the test controls exactly who is heard from and when, so recovery
+/// transitions are pinned down deterministically.
+class ManualMaskedFederation : public ManualFederation {
  public:
-  ManualMaskedFederation(ServerConfig config, std::int64_t num_sites,
+  ManualMaskedFederation(const ServerConfig& config, std::int64_t num_sites,
                          std::uint64_t dealer_seed = 7)
-      : registry_(Provisioner(config.job_id, 17).provision_sites(num_sites)),
-        server_(std::make_unique<FederatedServer>(
-            config, registry_, dict_of({0.0f, 0.0f}),
-            std::make_unique<MaskedFedAvgAggregator>(16))),
-        dispatcher_(server_->dispatcher()) {
+      : ManualFederation(config, num_sites, dict_of({0.0f, 0.0f}),
+                         std::make_unique<MaskedFedAvgAggregator>(16)) {
     // Mask participants are the client sites only — the registry's "server"
     // entry is the channel identity, not a masking peer.
     std::vector<std::string> names;
@@ -339,40 +322,16 @@ class ManualMaskedFederation {
     }
   }
 
-  FederatedServer& server() { return *server_; }
-
-  std::vector<std::uint8_t> call(const std::string& site,
-                                 const std::vector<std::uint8_t>& frame) {
-    const Credential& cred = registry_.at(site);
-    const auto response =
-        dispatcher_(seal(cred.name, cred.secret, seq_[site].next(), frame));
-    return open(response, cred.secret).payload;
-  }
-
-  void register_site(const std::string& site) {
-    const RegisterAck ack = decode_register_ack(
-        call(site, pack(RegisterRequest{site, registry_.at(site).token})));
-    ASSERT_TRUE(ack.accepted);
-    sessions_[site] = ack.session_id;
-  }
-
-  std::vector<std::uint8_t> poll(const std::string& site) {
-    return call(site, pack(GetTaskRequest{sessions_.at(site)}));
-  }
-
   /// Masks `weights` exactly as the site's outbound chain would, then
   /// submits. The plain (pre-mask) update is what the aggregate must equal.
   SubmitAck submit_masked(const std::string& site, std::int64_t round,
                           std::vector<float> weights) {
-    SubmitUpdateRequest req;
-    req.session_id = sessions_.at(site);
-    req.round = round;
-    req.payload = Dxo(DxoKind::kWeights, dict_of(std::move(weights)));
-    req.payload.set_meta_int(Dxo::kMetaNumSamples, 10);
+    Dxo dxo(DxoKind::kWeights, dict_of(std::move(weights)));
+    dxo.set_meta_int(Dxo::kMetaNumSamples, 10);
     FLContext ctx;
     ctx.current_round = round;
-    maskers_.at(site)->process(req.payload, ctx);
-    return decode_submit_ack(call(site, pack(req)));
+    maskers_.at(site)->process(dxo, ctx);
+    return submit_dxo(site, round, std::move(dxo));
   }
 
   /// Polls until the server hands `site` an UnmaskRequest for `want_wave`
@@ -395,16 +354,11 @@ class ManualMaskedFederation {
   SubmitAck answer_unmask(const std::string& site, const UnmaskRequest& req) {
     const Dxo share = maskers_.at(site)->unmask_share(req.dropped, req.round);
     return decode_submit_ack(call(
-        site, pack(UnmaskResponse{sessions_.at(site), req.round, req.wave, share})));
+        site, pack(UnmaskResponse{session(site), req.round, req.wave, share})));
   }
 
  private:
-  std::map<std::string, Credential> registry_;
-  std::unique_ptr<FederatedServer> server_;
-  Dispatcher dispatcher_;
   std::map<std::string, std::shared_ptr<SecureAggMaskFilter>> maskers_;
-  std::map<std::string, SequenceSource> seq_;
-  std::map<std::string, std::string> sessions_;
 };
 
 ServerConfig manual_config(const std::string& job, std::int64_t sites,

@@ -8,15 +8,13 @@
 #include "core/logging.h"
 #include "flare/client.h"
 #include "flare/server.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
+using cppflare::testing::dict_of;
+using cppflare::testing::ManualFederation;
 
 /// Learner that returns fixed weights regardless of the incoming model.
 class ConstantLearner : public Learner {
@@ -73,7 +71,7 @@ class ServerClientTest : public ::testing::Test {
     config.max_idle_ms = 5000;
     return std::make_unique<FederatedClient>(
         config, registry_.at(name),
-        std::make_unique<InProcConnection>(server.dispatcher()),
+        std::make_unique<AsyncInProcConnection>(server.async_dispatcher()),
         std::move(learner));
   }
 
@@ -117,7 +115,8 @@ TEST_F(ServerClientTest, BadTokenRejected) {
   ClientConfig config;
   config.job_id = "test-project";
   FederatedClient client(config, bad,
-                         std::make_unique<InProcConnection>(server->dispatcher()),
+                         std::make_unique<AsyncInProcConnection>(
+                             server->async_dispatcher()),
                          std::make_shared<ConstantLearner>(
                              "site-1", std::vector<float>{0, 0}, 1));
   EXPECT_THROW(client.run(), ProtocolError);
@@ -125,23 +124,23 @@ TEST_F(ServerClientTest, BadTokenRejected) {
 
 TEST_F(ServerClientTest, UnknownSenderGetsUnverifiableResponse) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  ManualFederation fed(registry_, server->async_dispatcher());
   // Seal as an unprovisioned participant with a random key.
   const std::vector<std::uint8_t> rogue_key(32, 0x7);
   const auto sealed = seal("rogue", rogue_key, 1,
                            pack(RegisterRequest{"rogue", "tok"}));
-  const auto response = dispatcher(sealed);
+  const auto response = fed.exchange(sealed);
   // The response cannot be verified with the rogue key (empty-key seal).
   EXPECT_THROW(open(response, rogue_key), ProtocolError);
 }
 
 TEST_F(ServerClientTest, ForgedEnvelopeFromKnownSenderRejected) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  ManualFederation fed(registry_, server->async_dispatcher());
   const std::vector<std::uint8_t> wrong_key(32, 0x9);
   const auto sealed = seal("site-1", wrong_key, 1,
                            pack(RegisterRequest{"site-1", registry_.at("site-1").token}));
-  const auto response = dispatcher(sealed);
+  const auto response = fed.exchange(sealed);
   // Server answers with an error sealed under the legitimate site key.
   const Envelope env = open(response, registry_.at("site-1").secret);
   EXPECT_EQ(peek_type(env.payload), MsgType::kError);
@@ -149,99 +148,56 @@ TEST_F(ServerClientTest, ForgedEnvelopeFromKnownSenderRejected) {
 
 TEST_F(ServerClientTest, GetTaskWithoutSessionFails) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  ManualFederation fed(registry_, server->async_dispatcher());
   const Credential& cred = registry_.at("site-1");
   const auto sealed = seal(cred.name, cred.secret, 1, pack(GetTaskRequest{"bogus"}));
-  const Envelope env = open(dispatcher(sealed), cred.secret);
+  const Envelope env = open(fed.exchange(sealed), cred.secret);
   EXPECT_EQ(peek_type(env.payload), MsgType::kError);
 }
 
 TEST_F(ServerClientTest, StaleRoundSubmissionRejected) {
   auto server = make_server(2);
-  auto dispatcher = server->dispatcher();
-  const Credential& c1 = registry_.at("site-1");
-  const Credential& c2 = registry_.at("site-2");
-  SequenceSource seq1, seq2;
+  ManualFederation fed(registry_, server->async_dispatcher());
+  fed.register_site("site-1");
+  fed.register_site("site-2");
 
-  auto call = [&](const Credential& cred, SequenceSource& seq,
-                  const std::vector<std::uint8_t>& frame) {
-    const auto resp =
-        dispatcher(seal(cred.name, cred.secret, seq.next(), frame));
-    return open(resp, cred.secret).payload;
-  };
-
-  const RegisterAck a1 = decode_register_ack(
-      call(c1, seq1, pack(RegisterRequest{c1.name, c1.token})));
-  const RegisterAck a2 = decode_register_ack(
-      call(c2, seq2, pack(RegisterRequest{c2.name, c2.token})));
-  ASSERT_TRUE(a1.accepted);
-  ASSERT_TRUE(a2.accepted);
-
-  // Both fetch tasks for round 0.
-  const TaskMessage t1 = decode_task(call(c1, seq1, pack(GetTaskRequest{a1.session_id})));
+  // site-1 fetches its task for round 0.
+  const TaskMessage t1 = fed.get_task("site-1");
   ASSERT_EQ(t1.task, TaskKind::kTrain);
   ASSERT_EQ(t1.round, 0);
 
   // site-1 submits for a wrong (future) round.
-  SubmitUpdateRequest submit;
-  submit.session_id = a1.session_id;
-  submit.round = 1;
-  submit.payload = Dxo(DxoKind::kWeights, dict_of({1, 1}));
-  submit.payload.set_meta_int(Dxo::kMetaNumSamples, 10);
-  const SubmitAck ack = decode_submit_ack(call(c1, seq1, pack(submit)));
+  const SubmitAck ack = fed.submit("site-1", 1, {1, 1});
   EXPECT_FALSE(ack.accepted);
   EXPECT_EQ(ack.message, "stale round");
 }
 
 TEST_F(ServerClientTest, DuplicateSubmissionRejected) {
   auto server = make_server(2);
-  auto dispatcher = server->dispatcher();
-  const Credential& c1 = registry_.at("site-1");
-  const Credential& c2 = registry_.at("site-2");
-  SequenceSource seq1, seq2;
-  auto call = [&](const Credential& cred, SequenceSource& seq,
-                  const std::vector<std::uint8_t>& frame) {
-    return open(dispatcher(seal(cred.name, cred.secret, seq.next(), frame)),
-                cred.secret)
-        .payload;
-  };
-  const RegisterAck a1 = decode_register_ack(
-      call(c1, seq1, pack(RegisterRequest{c1.name, c1.token})));
-  decode_register_ack(call(c2, seq2, pack(RegisterRequest{c2.name, c2.token})));
-
-  SubmitUpdateRequest submit;
-  submit.session_id = a1.session_id;
-  submit.round = 0;
-  submit.payload = Dxo(DxoKind::kWeights, dict_of({1, 1}));
-  submit.payload.set_meta_int(Dxo::kMetaNumSamples, 10);
-  EXPECT_TRUE(decode_submit_ack(call(c1, seq1, pack(submit))).accepted);
-  EXPECT_FALSE(decode_submit_ack(call(c1, seq1, pack(submit))).accepted);
+  ManualFederation fed(registry_, server->async_dispatcher());
+  fed.register_site("site-1");
+  fed.register_site("site-2");
+  EXPECT_TRUE(fed.submit("site-1", 0, {1, 1}).accepted);
+  EXPECT_FALSE(fed.submit("site-1", 0, {1, 1}).accepted);
 }
 
 TEST_F(ServerClientTest, TaskNoneBeforeAllRegistered) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
-  const Credential& c1 = registry_.at("site-1");
-  SequenceSource seq1;
-  auto call = [&](const std::vector<std::uint8_t>& frame) {
-    return open(dispatcher(seal(c1.name, c1.secret, seq1.next(), frame)), c1.secret)
-        .payload;
-  };
-  const RegisterAck ack = decode_register_ack(
-      call(pack(RegisterRequest{c1.name, c1.token})));
-  const TaskMessage task = decode_task(call(pack(GetTaskRequest{ack.session_id})));
-  EXPECT_EQ(task.task, TaskKind::kNone);  // expected_clients = 2, only 1 joined
+  ManualFederation fed(registry_, server->async_dispatcher());
+  fed.register_site("site-1");
+  // expected_clients = 2, only 1 joined
+  EXPECT_EQ(fed.get_task("site-1").task, TaskKind::kNone);
 }
 
 TEST_F(ServerClientTest, ReplayedEnvelopeRejected) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  ManualFederation fed(registry_, server->async_dispatcher());
   const Credential& c1 = registry_.at("site-1");
   const auto sealed = seal(c1.name, c1.secret, 1,
                            pack(RegisterRequest{c1.name, c1.token}));
-  const Envelope first = open(dispatcher(sealed), c1.secret);
+  const Envelope first = open(fed.exchange(sealed), c1.secret);
   EXPECT_EQ(peek_type(first.payload), MsgType::kRegisterAck);
-  const Envelope replay = open(dispatcher(sealed), c1.secret);
+  const Envelope replay = open(fed.exchange(sealed), c1.secret);
   EXPECT_EQ(peek_type(replay.payload), MsgType::kError);
 }
 

@@ -7,15 +7,12 @@
 #include <unistd.h>
 
 #include "core/logging.h"
+#include "test_util.h"
 
 namespace cppflare::flare {
 namespace {
 
-nn::StateDict dict_of(std::vector<float> w) {
-  nn::StateDict d;
-  d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
-  return d;
-}
+using cppflare::testing::dict_of;
 
 /// Learner that moves the global weights halfway toward a site-specific
 /// target — a linear-dynamics stand-in for local SGD whose federated fixed

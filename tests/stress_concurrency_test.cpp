@@ -30,9 +30,12 @@
 #include "flare/tcp.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 namespace cppflare {
 namespace {
+
+using cppflare::testing::NudgeLearner;
 
 class StressTest : public ::testing::Test {
  protected:
@@ -119,32 +122,6 @@ nn::StateDict tiny_model() {
   d.insert("w", {{4}, {0.0f, 0.0f, 0.0f, 0.0f}});
   return d;
 }
-
-/// Minimal learner: nudges every weight toward a per-site target, like the
-/// simulator_test fixture but with a deliberately tiny payload so rounds
-/// turn over fast and the scheduler interleaves sites aggressively.
-class NudgeLearner : public flare::Learner {
- public:
-  NudgeLearner(std::string site, float target)
-      : site_(std::move(site)), target_(target) {}
-
-  flare::Dxo train(const flare::Dxo& global, const flare::FLContext&) override {
-    nn::StateDict updated = global.data();
-    for (auto& [name, blob] : updated.entries()) {
-      for (float& v : blob.values) v += 0.5f * (target_ - v);
-    }
-    flare::Dxo update(flare::DxoKind::kWeights, updated);
-    update.set_meta_int(flare::Dxo::kMetaNumSamples, 10);
-    update.set_meta_double(flare::Dxo::kMetaTrainLoss, 1.0);
-    update.set_meta_double(flare::Dxo::kMetaValidAcc, 0.5);
-    return update;
-  }
-  std::string site_name() const override { return site_; }
-
- private:
-  std::string site_;
-  float target_;
-};
 
 flare::SimulatorRunner make_runner(flare::SimulatorConfig config) {
   return flare::SimulatorRunner(
@@ -354,8 +331,10 @@ TEST_F(SimulatorStress, ConcurrentParallelForCallers) {
 
 using TcpStress = StressTest;
 
-flare::Dispatcher echo_dispatcher() {
-  return [](const std::vector<std::uint8_t>& req) { return req; };
+flare::AsyncDispatcher echo_dispatcher() {
+  return [](const std::vector<std::uint8_t>& req, flare::RespondFn respond) {
+    respond(req);
+  };
 }
 
 TEST_F(TcpStress, AcceptServeCloseLoop) {
@@ -507,13 +486,13 @@ TEST_F(TcpStress, ConcurrentStopCallsAreSafe) {
 }
 
 TEST_F(TcpStress, StopWhileClientsMidCallUnblocksThem) {
-  // Dispatcher stalls long enough that stop() lands while handler threads
+  // The dispatcher stalls long enough that stop() lands while handler threads
   // are inside recv/dispatch; clients must fail with TransportError, not
   // hang or crash.
   auto server = std::make_unique<flare::TcpServer>(
-      0, [](const std::vector<std::uint8_t>& req) {
+      0, [](const std::vector<std::uint8_t>& req, flare::RespondFn respond) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        return req;
+        respond(req);
       });
   std::atomic<int> completed{0};
   std::atomic<int> aborted{0};

@@ -16,8 +16,13 @@
 namespace cppflare::flare {
 namespace {
 
+/// Answers every request with its own bytes.
+void echo(const std::vector<std::uint8_t>& request, RespondFn respond) {
+  respond(request);
+}
+
 TEST(Tcp, EchoRoundTrip) {
-  TcpServer server(0, [](const std::vector<std::uint8_t>& req) { return req; });
+  TcpServer server(0, echo);
   ASSERT_GT(server.port(), 0);
   TcpConnection conn("127.0.0.1", server.port());
   const std::vector<std::uint8_t> msg = {1, 2, 3, 4, 5};
@@ -25,10 +30,11 @@ TEST(Tcp, EchoRoundTrip) {
 }
 
 TEST(Tcp, MultipleSequentialCallsOnOneConnection) {
-  TcpServer server(0, [](const std::vector<std::uint8_t>& req) {
+  TcpServer server(0, [](const std::vector<std::uint8_t>& req,
+                         RespondFn respond) {
     std::vector<std::uint8_t> out = req;
     for (auto& b : out) b += 1;
-    return out;
+    respond(out);
   });
   TcpConnection conn("127.0.0.1", server.port());
   for (int i = 0; i < 20; ++i) {
@@ -40,15 +46,15 @@ TEST(Tcp, MultipleSequentialCallsOnOneConnection) {
 }
 
 TEST(Tcp, EmptyFrameRoundTrip) {
-  TcpServer server(0, [](const std::vector<std::uint8_t>&) {
-    return std::vector<std::uint8_t>{};
+  TcpServer server(0, [](const std::vector<std::uint8_t>&, RespondFn respond) {
+    respond(std::vector<std::uint8_t>{});
   });
   TcpConnection conn("127.0.0.1", server.port());
   EXPECT_TRUE(conn.call({}).empty());
 }
 
 TEST(Tcp, LargeFrameRoundTrip) {
-  TcpServer server(0, [](const std::vector<std::uint8_t>& req) { return req; });
+  TcpServer server(0, echo);
   TcpConnection conn("127.0.0.1", server.port());
   std::vector<std::uint8_t> big(4 << 20);  // 4 MiB (a model-sized payload)
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i);
@@ -57,9 +63,10 @@ TEST(Tcp, LargeFrameRoundTrip) {
 
 TEST(Tcp, ConcurrentClients) {
   std::atomic<int> calls{0};
-  TcpServer server(0, [&calls](const std::vector<std::uint8_t>& req) {
+  TcpServer server(0, [&calls](const std::vector<std::uint8_t>& req,
+                               RespondFn respond) {
     calls.fetch_add(1);
-    return req;
+    respond(req);
   });
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
@@ -85,7 +92,7 @@ TEST(Tcp, ConcurrentClients) {
 TEST(Tcp, ConnectToClosedPortThrows) {
   std::uint16_t dead_port;
   {
-    TcpServer server(0, [](const std::vector<std::uint8_t>& r) { return r; });
+    TcpServer server(0, echo);
     dead_port = server.port();
     server.stop();
   }
@@ -97,8 +104,7 @@ TEST(Tcp, BadHostThrows) {
 }
 
 TEST(Tcp, ServerStopTerminatesConnections) {
-  auto server = std::make_unique<TcpServer>(
-      0, [](const std::vector<std::uint8_t>& r) { return r; });
+  auto server = std::make_unique<TcpServer>(0, echo);
   TcpConnection conn("127.0.0.1", server->port());
   EXPECT_EQ(conn.call({1}), (std::vector<std::uint8_t>{1}));
   server->stop();
@@ -106,30 +112,28 @@ TEST(Tcp, ServerStopTerminatesConnections) {
 }
 
 TEST(Tcp, StopIsIdempotent) {
-  TcpServer server(0, [](const std::vector<std::uint8_t>& r) { return r; });
+  TcpServer server(0, echo);
   server.stop();
   server.stop();
   SUCCEED();
 }
 
 TEST(Tcp, DispatcherExceptionClosesConnectionOnly) {
-  TcpServer server(0, [](const std::vector<std::uint8_t>&)
-                       -> std::vector<std::uint8_t> {
+  TcpServer server(0, [](const std::vector<std::uint8_t>&, RespondFn) {
     throw Error("handler failure");
   });
   TcpConnection bad("127.0.0.1", server.port());
   EXPECT_THROW(bad.call({1}), TransportError);
   // Server must still accept new connections afterwards.
-  TcpServer echo(0, [](const std::vector<std::uint8_t>& r) { return r; });
-  TcpConnection good("127.0.0.1", echo.port());
+  TcpServer echo_server(0, echo);
+  TcpConnection good("127.0.0.1", echo_server.port());
   EXPECT_EQ(good.call({7}), (std::vector<std::uint8_t>{7}));
 }
 
 TEST(Tcp, OversizedEnvelopeRefusedBeforePayloadRead) {
   TcpServerOptions options;
   options.max_frame_bytes = 1024;
-  TcpServer server(
-      0, [](const std::vector<std::uint8_t>& r) { return r; }, options);
+  TcpServer server(0, echo, options);
   // Under the cap: served normally.
   TcpConnection small("127.0.0.1", server.port());
   EXPECT_EQ(small.call(std::vector<std::uint8_t>(1024, 7)).size(), 1024u);
@@ -148,8 +152,7 @@ TEST(Tcp, HostileLengthPrefixNeverReachesTheAllocator) {
   // dropped on the header, not a 4 GiB allocation.
   TcpServerOptions options;
   options.max_frame_bytes = 0xffffffff;
-  TcpServer server(
-      0, [](const std::vector<std::uint8_t>& r) { return r; }, options);
+  TcpServer server(0, echo, options);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -174,9 +177,9 @@ TEST(Tcp, SilentPeerReleasesHandlerThread) {
   std::atomic<int> calls{0};
   TcpServer server(
       0,
-      [&calls](const std::vector<std::uint8_t>& r) {
+      [&calls](const std::vector<std::uint8_t>& r, RespondFn respond) {
         calls.fetch_add(1);
-        return r;
+        respond(r);
       },
       options);
   // A client that connects, sends half a frame header, then goes silent.

@@ -27,9 +27,13 @@
 #include "core/trace.h"
 #include "flare/observability.h"
 #include "flare/simulator.h"
+#include "test_util.h"
 
 namespace cppflare {
 namespace {
+
+using cppflare::testing::bit_equal;
+using cppflare::testing::NudgeLearner;
 
 // Every test leaves the process-wide tracer stopped and empty: it is global
 // state, and a leaked enabled tracer would silently record into later tests.
@@ -414,45 +418,6 @@ nn::StateDict tiny_model() {
   d.insert("w", {{4}, {5.0f, 5.0f, 5.0f, 5.0f}});
   return d;
 }
-
-bool bit_equal(const nn::StateDict& a, const nn::StateDict& b) {
-  if (!a.congruent_with(b)) return false;
-  auto ia = a.entries().begin();
-  auto ib = b.entries().begin();
-  for (; ia != a.entries().end(); ++ia, ++ib) {
-    if (std::memcmp(ia->second.values.data(), ib->second.values.data(),
-                    ia->second.values.size() * sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Deterministic learner (same contract as faults/poison tests): nudges
-/// every weight halfway toward a per-site target, so two runs over the same
-/// rounds agree bit-for-bit.
-class NudgeLearner : public flare::Learner {
- public:
-  NudgeLearner(std::string site, float target)
-      : site_(std::move(site)), target_(target) {}
-
-  flare::Dxo train(const flare::Dxo& global, const flare::FLContext&) override {
-    nn::StateDict updated = global.data();
-    for (auto& [name, blob] : updated.entries()) {
-      for (float& v : blob.values) v += 0.5f * (target_ - v);
-    }
-    flare::Dxo update(flare::DxoKind::kWeights, updated);
-    update.set_meta_int(flare::Dxo::kMetaNumSamples, 10);
-    update.set_meta_double(flare::Dxo::kMetaTrainLoss, 1.0);
-    update.set_meta_double(flare::Dxo::kMetaValidAcc, 0.5);
-    return update;
-  }
-  std::string site_name() const override { return site_; }
-
- private:
-  std::string site_;
-  float target_;
-};
 
 flare::SimulatorRunner make_runner(flare::SimulatorConfig config) {
   return flare::SimulatorRunner(

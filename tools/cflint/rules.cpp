@@ -104,6 +104,7 @@ class RuleRunner {
     r12_secure_agg_containment();
     r13_durable_writes_only();
     r14_server_via_job_runner();
+    r15_one_request_path();
   }
 
  private:
@@ -643,6 +644,39 @@ class RuleRunner {
     }
   }
 
+  // R15: one request path and one client protocol. The synchronous
+  // `Dispatcher` and its adapters (`make_async`, `InProcConnection`) were
+  // a second server entry point whose fixes had to be written twice; every
+  // transport now delivers into an AsyncDispatcher. Sealing a frame is the
+  // client protocol's (or the server's) job: outside the channel itself,
+  // the server, the job router and ClientSession, a `seal(` call means a
+  // second client implementation is growing back.
+  void r15_one_request_path() {
+    const bool may_seal = starts_with(path_, "src/flare/secure_channel.") ||
+                          starts_with(path_, "src/flare/server.") ||
+                          starts_with(path_, "src/flare/jobs.") ||
+                          starts_with(path_, "src/flare/client_session.");
+    for (std::size_t i = 0; i < toks_.size(); ++i) {
+      const Token& t = toks_[i];
+      if (t.kind != TokKind::kIdent) continue;
+      if (t.text == "Dispatcher" || t.text == "InProcConnection" ||
+          t.text == "make_async") {
+        flag(15, t, "'" + t.text + "' is the removed synchronous request "
+                    "path; serve and call through AsyncDispatcher "
+                    "(AsyncInProcConnection in-process)");
+        continue;
+      }
+      if (may_seal || t.text != "seal") continue;
+      const Token* p = prev(i);
+      const Token* n = next(i);
+      if (n == nullptr || !is_punct(*n, "(")) continue;
+      if (p != nullptr && (is_punct(*p, ".") || is_punct(*p, "->"))) continue;
+      flag(15, t, "seal() outside the channel, server, job router and "
+                  "ClientSession; drive the client protocol through "
+                  "ClientSession instead of sealing frames by hand");
+    }
+  }
+
   const std::string& path_;
   const std::vector<Token>& toks_;
   const std::map<int, std::set<int>>& exemptions_;
@@ -710,6 +744,9 @@ const char* rule_summary(int rule) {
                     "(durable_write / Wal), never raw streams";
     case 14: return "FederatedServer is constructed only by the JobRunner "
                     "registry (src/flare/jobs.*)";
+    case 15: return "one request path: no synchronous Dispatcher/"
+                    "InProcConnection/make_async, and frames are sealed only "
+                    "by the channel, server, job router and ClientSession";
     default: return "";
   }
 }

@@ -256,6 +256,28 @@ const std::vector<Case>& cases() {
        "// R14-exempt: fixture proves the exemption path\n"
        "void f() { FederatedServer server(cfg, reg, model, agg); }\n",
        {}},
+
+      {"R15 synchronous request path", "src/flare/sync_path.cpp",
+       "// Dispatcher in a comment is fine\n"
+       "const char* s = \"make_async\";\n"
+       "using Dispatcher = std::function<Bytes(const Bytes&)>;\n"
+       "void f(AsyncDispatcher d) { InProcConnection c(d); }\n"
+       "AsyncDispatcher g(Sync s) { return make_async(s); }\n",
+       {{15, 3}, {15, 4}, {15, 5}}},
+      {"R15 hand-sealed client frame", "src/flare/simulator.cpp",
+       "// seal( in a comment is fine\n"
+       "Bytes f(const Credential& c) { return seal(c.name, c.secret, 1, b); }\n"
+       "Bytes g(const Credential& c) { return flare::seal(c.name, c.secret, 1, b); }\n"
+       "void h(Box& box) { box.seal(); box->seal(); }\n"
+       "void i(AsyncDispatcher d) { d(frame, respond); }\n",
+       {{15, 2}, {15, 3}}},
+      {"R15 sealing owners allowed", "src/flare/client_session.cpp",
+       "Bytes f(const Credential& c) { return seal(c.name, c.secret, 1, b); }\n",
+       {}},
+      {"R15 exempt", "src/flare/exempt_sync.cpp",
+       "// R15-exempt: fixture proves the exemption path\n"
+       "Bytes f(const Credential& c) { return seal(c.name, c.secret, 1, b); }\n",
+       {}},
   };
   return kCases;
 }
