@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "flare/hierarchy.h"
 #include "flare/simulator.h"
 
 namespace {
@@ -115,14 +114,8 @@ ScaleResult run_scale(std::int64_t sites, std::int64_t rounds, bool tcp,
   // the overhead factor isolates what the fault plan costs the stack,
   // not what a mis-scaled sleep costs the bench.
   config.client_retry = {1, 100, 2.0, 5, 0.2, /*fast_first_retry=*/true};
-  std::unique_ptr<flare::Aggregator> aggregator;
-  if (sites >= 256) {
-    aggregator = std::make_unique<flare::HierarchicalFedAvgAggregator>(true, 16);
-  } else {
-    aggregator = std::make_unique<flare::FedAvgAggregator>(true);
-  }
   flare::SimulatorRunner runner(
-      config, tiny_model(), std::move(aggregator),
+      config, tiny_model(), std::make_unique<flare::FedAvgAggregator>(true),
       [](std::int64_t i, const std::string& name) {
         return std::make_shared<NudgeLearner>(name, static_cast<float>(i % 7));
       });

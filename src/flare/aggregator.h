@@ -1,10 +1,12 @@
 // Server-side aggregation of client contributions.
 //
-// Mirrors NVFlare's DXOAggregator/InTimeAccumulateWeightedAggregator:
-// contributions arrive one at a time during a round, are validated and
-// accumulated in-place, and `aggregate()` closes the round by producing the
-// new global weights. Both full-weight (kWeights) and delta (kWeightDiff)
-// contributions are supported; kinds cannot be mixed within a round.
+// Mirrors NVFlare's DXOAggregator: contributions arrive one at a time during
+// a round, are validated and buffered, and `aggregate()` closes the round by
+// producing the new global weights. Both full-weight (kWeights) and delta
+// (kWeightDiff) contributions are supported; kinds cannot be mixed within a
+// round. FedAvg (below), masked FedAvg (flare/secure_agg.h) and the
+// coordinate-wise median and trimmed mean (flare/robust_aggregator.h) are
+// BufferedAggregator rules that differ only in their model reduction.
 #pragma once
 
 #include <cstdint>
@@ -112,55 +114,72 @@ class MaskRecoveryCapable {
   virtual std::int64_t unmask_share_count() const = 0;
 };
 
-/// Federated averaging. With `weighted` the average is weighted by each
-/// contribution's num_samples meta (plain FedAvg); otherwise uniform —
-/// the ablation knob for the imbalanced-split experiment.
-///
-/// Contributions are buffered per site and reduced in site-name order when
-/// the round closes, so the result is independent of arrival order — a
-/// fault-injected run (retries, reconnects, delays) aggregates bit-for-bit
+/// The buffering core every built-in rule shares. Contributions are
+/// buffered per site and reduced in site-name order when the round closes,
+/// so the result is independent of arrival order — a fault-injected run
+/// (retries, reconnects, delays, revocations) aggregates bit-for-bit
 /// identically to a clean one. Costs one buffered model per contributor,
 /// which is the price of reproducibility over NVFlare's in-time accumulate.
 ///
-/// The weighted sum is computed as a *canonical pairwise tree* over the
-/// site-name-sorted contributions (flare/hierarchy.h): a fixed
-/// count-determined split shape, not a left fold. This is what lets the
-/// hierarchical tree-of-aggregators mode reproduce flat results bitwise —
-/// each leaf shard is an aligned subtree of the same canonical tree.
-class FedAvgAggregator : public Aggregator {
+/// The base owns validation (metrics-only, duplicate site, mixed kinds,
+/// incongruent payload, non-positive weight), revocation, and the round's
+/// tail: metric means summed as doubles in site-name order, and the
+/// kWeightDiff apply. A rule supplies only reduce().
+class BufferedAggregator : public Aggregator {
  public:
-  explicit FedAvgAggregator(bool weighted = true) : weighted_(weighted) {}
-
   void reset(const nn::StateDict& global, std::int64_t round) override;
-  bool accept(const std::string& site, const Dxo& contribution) override;
-  bool revoke(const std::string& site) override;
-  nn::StateDict aggregate() override;
-  std::int64_t accepted_count() const override;
-  RoundMetrics metrics() const override;
-  std::string name() const override {
-    return weighted_ ? "FedAvg(weighted)" : "FedAvg(uniform)";
-  }
+  bool accept(const std::string& site, const Dxo& contribution) final;
+  bool revoke(const std::string& site) final;
+  nn::StateDict aggregate() final;
+  std::int64_t accepted_count() const final;
+  RoundMetrics metrics() const final;
   bool weighted() const { return weighted_; }
 
  protected:
+  /// With `weighted` each contribution weighs its num_samples meta, else 1.
+  explicit BufferedAggregator(bool weighted) : weighted_(weighted) {}
+
   struct Pending {
     Dxo dxo;
     double weight = 0.0;
   };
 
-  /// Reduction hook: returns the weighted *sum* of pending_ (unscaled).
-  /// The base implementation is one canonical pairwise tree over all
-  /// contributions in site-name order; HierarchicalFedAvgAggregator
-  /// overrides it with a leaf/root split that reduces to the same bits.
-  /// Scalar bookkeeping (weight sum, metric means) stays in aggregate(),
-  /// sequential over the same order in every mode.
-  virtual nn::StateDict reduce_pending() const;
+  /// The rule: reduces the (non-empty) pending_ contributions to the new
+  /// global model, or to the mean update when the round carries diffs.
+  virtual nn::StateDict reduce() const = 0;
 
-  bool weighted_;
+  /// 1/Σweight as a float, the sum taken as doubles in site-name order.
+  float inverse_weight_sum() const;
+
   nn::StateDict global_;
-  std::optional<DxoKind> round_kind_;
   std::map<std::string, Pending> pending_;  // site -> buffered contribution
+
+ private:
+  bool weighted_;
+  std::optional<DxoKind> round_kind_;
   RoundMetrics metrics_{};
+};
+
+/// Federated averaging. With `weighted` the average is weighted by each
+/// contribution's num_samples meta (plain FedAvg); otherwise uniform —
+/// the ablation knob for the imbalanced-split experiment.
+///
+/// The weighted sum is the *canonical pairwise tree* over the
+/// site-name-sorted contributions — T(x_0..x_{n-1}) = T(x_0..x_{p-1}) +
+/// T(x_p..x_{n-1}) with p the largest power of two below n, leaf
+/// w_i * x_i — evaluated per element range on core::parallel_for, so every
+/// element sees the same operation order whatever the thread count.
+class FedAvgAggregator : public BufferedAggregator {
+ public:
+  explicit FedAvgAggregator(bool weighted = true)
+      : BufferedAggregator(weighted) {}
+
+  std::string name() const override {
+    return weighted() ? "FedAvg(weighted)" : "FedAvg(uniform)";
+  }
+
+ protected:
+  nn::StateDict reduce() const override;
 };
 
 }  // namespace cppflare::flare

@@ -8,14 +8,14 @@
 //  * TrimmedMeanAggregator — drop the k largest and k smallest values per
 //    coordinate, average the rest.
 //
-// Both ignore sample weights (robustness and weighting conflict: a
-// malicious client could claim a huge sample count). Contributions are
-// buffered per round, so memory is O(clients * model size).
+// Both ignore sample weights in the model (robustness and weighting
+// conflict: a malicious client could claim a huge sample count); the
+// weights only enter the round's metric means. Validation, revocation,
+// metrics and the kWeightDiff apply are BufferedAggregator's
+// (flare/aggregator.h); memory is O(clients * model size).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,40 +23,20 @@
 
 namespace cppflare::flare {
 
-/// Shared buffering logic for aggregate-at-end robust rules.
-class BufferingAggregator : public Aggregator {
- public:
-  void reset(const nn::StateDict& global, std::int64_t round) override;
-  bool accept(const std::string& site, const Dxo& contribution) override;
-  bool revoke(const std::string& site) override;
-  nn::StateDict aggregate() override;
-  std::int64_t accepted_count() const override;
-  RoundMetrics metrics() const override;
-
+/// The column loop the coordinate-wise rules share: every output coordinate
+/// is combine() over that coordinate's values in site-name order.
+class CoordinateWiseAggregator : public BufferedAggregator {
  protected:
-  /// Combines one coordinate's sorted values into the aggregate value.
+  CoordinateWiseAggregator() : BufferedAggregator(/*weighted=*/true) {}
+
+  nn::StateDict reduce() const override;
+
+  /// Combines one coordinate's values into the aggregate value; may reorder
+  /// them.
   virtual float combine(std::vector<float>& values) const = 0;
-
- private:
-  /// One buffered contribution plus the metric sums it added, so revoke()
-  /// can reverse the accounting exactly.
-  struct Entry {
-    nn::StateDict data;
-    std::int64_t samples = 0;
-    bool has_loss = false;
-    double train_loss = 0.0;
-    double valid_acc = 0.0;
-    double valid_loss = 0.0;
-  };
-
-  nn::StateDict global_;
-  std::optional<DxoKind> round_kind_;
-  std::map<std::string, Entry> contributions_;
-  RoundMetrics metrics_{};
-  double loss_weight_sum_ = 0.0;
 };
 
-class MedianAggregator : public BufferingAggregator {
+class MedianAggregator : public CoordinateWiseAggregator {
  public:
   std::string name() const override { return "CoordinateMedian"; }
 
@@ -64,7 +44,7 @@ class MedianAggregator : public BufferingAggregator {
   float combine(std::vector<float>& values) const override;
 };
 
-class TrimmedMeanAggregator : public BufferingAggregator {
+class TrimmedMeanAggregator : public CoordinateWiseAggregator {
  public:
   /// Trims `trim` values from each tail per coordinate. Requires
   /// contributions > 2*trim at aggregate time.

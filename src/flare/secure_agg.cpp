@@ -139,7 +139,7 @@ Dxo SecureAggMaskFilter::unmask_share(
 }
 
 MaskedFedAvgAggregator::MaskedFedAvgAggregator(std::int64_t frac_bits)
-    : FedAvgAggregator(/*weighted=*/false), frac_bits_(frac_bits) {
+    : BufferedAggregator(/*weighted=*/false), frac_bits_(frac_bits) {
   if (frac_bits_ < 1 || frac_bits_ > 30) {
     throw Error("MaskedFedAvgAggregator: frac_bits must be in [1, 30]");
   }
@@ -147,7 +147,7 @@ MaskedFedAvgAggregator::MaskedFedAvgAggregator(std::int64_t frac_bits)
 
 void MaskedFedAvgAggregator::reset(const nn::StateDict& global,
                                    std::int64_t round) {
-  FedAvgAggregator::reset(global, round);
+  BufferedAggregator::reset(global, round);
   shares_.clear();
 }
 
@@ -172,7 +172,7 @@ std::int64_t MaskedFedAvgAggregator::unmask_share_count() const {
   return static_cast<std::int64_t>(shares_.size());
 }
 
-nn::StateDict MaskedFedAvgAggregator::reduce_pending() const {
+nn::StateDict MaskedFedAvgAggregator::reduce() const {
   // Word-wise modular sum of the masked contributions. Order-independent
   // by construction (modular addition commutes), but iterate site-name
   // order anyway to mirror the float path.
@@ -193,9 +193,10 @@ nn::StateDict MaskedFedAvgAggregator::reduce_pending() const {
   // Dropout recovery: strip the survivors' revealed mask sums against the
   // dropped set; masks among the summed contributors already cancelled.
   for (const auto& [site, share] : shares_) fold(share.data(), /*add=*/false);
+  const float scale = inverse_weight_sum();
   for (auto& [name, blob] : accum.entries()) {
     for (float& v : blob.values) {
-      v = dequantize(std::bit_cast<std::uint32_t>(v), frac_bits_);
+      v = dequantize(std::bit_cast<std::uint32_t>(v), frac_bits_) * scale;
     }
   }
   return accum;

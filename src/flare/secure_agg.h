@@ -22,8 +22,8 @@
 // and therefore no single update — is ever unmasked (DESIGN.md §14).
 //
 // Cancellation requires an unweighted sum, so pair the filter with
-// FedAvgAggregator(weighted=false) semantics — `MaskedFedAvgAggregator`
-// enforces exactly that — or have clients pre-scale their update by the
+// uniform-FedAvg semantics — `MaskedFedAvgAggregator` enforces exactly
+// that — or have clients pre-scale their update by the
 // known sample weight (flare/filters.h PreScaleFilter).
 //
 // Headroom: the decoded sum must satisfy |sum_s v_s| < 2^(31 - frac_bits)
@@ -106,11 +106,11 @@ class SecureAggMaskFilter : public Filter {
 /// Server-side aggregator for masked uploads. Accepts contributions like
 /// uniform FedAvg (the masked words ride bit-cast in the float slots), but
 /// reduces them as uint32 words modulo 2^32, subtracts any recorded unmask
-/// shares, decodes the fixed-point sum back to floats, and only then runs
-/// FedAvg's scalar tail (1/n scale, kWeightDiff apply) — so a masked
-/// no-drop round is bit-for-bit identical to plain uniform FedAvg whenever
-/// the updates are exactly representable on the 2^-frac_bits grid.
-class MaskedFedAvgAggregator : public FedAvgAggregator,
+/// shares, decodes the fixed-point sum back to floats and scales it by 1/n;
+/// the kWeightDiff apply is BufferedAggregator's. A masked no-drop round is
+/// thus bit-for-bit identical to plain uniform FedAvg whenever the updates
+/// are exactly representable on the 2^-frac_bits grid.
+class MaskedFedAvgAggregator : public BufferedAggregator,
                                public MaskRecoveryCapable {
  public:
   explicit MaskedFedAvgAggregator(std::int64_t frac_bits = 16);
@@ -127,9 +127,9 @@ class MaskedFedAvgAggregator : public FedAvgAggregator,
   std::int64_t unmask_share_count() const override;
 
  protected:
-  /// Modular word sum over pending_ minus recorded shares, decoded to the
-  /// float sum StateDict FedAvg's aggregate() tail expects.
-  nn::StateDict reduce_pending() const override;
+  /// Modular word sum over pending_ minus recorded shares, decoded and
+  /// scaled by 1/n.
+  nn::StateDict reduce() const override;
 
  private:
   std::int64_t frac_bits_;

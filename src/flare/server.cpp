@@ -54,6 +54,7 @@ const char* abort_code_name(AbortCode code) {
     case AbortCode::kDeadlineBelowQuorum: return "deadline_below_quorum";
     case AbortCode::kRecoveryBelowQuorum: return "recovery_below_quorum";
     case AbortCode::kRecoveryExhausted: return "recovery_exhausted";
+    case AbortCode::kAggregateFailed: return "aggregate_failed";
   }
   return "unknown";
 }
@@ -936,9 +937,16 @@ void FederatedServer::finish_round_locked(bool deadline_fired) {
     return;
   }
   LOG_AS(kSag, info).msg("End aggregation.");
-  {
+  try {
     CF_TRACE_SPAN_SITE("server.aggregate", "", round_);
     global_ = aggregator_->aggregate();
+  } catch (const Error& e) {
+    // Thrown out of here it would end the ticker thread (std::terminate) or
+    // leave the round half-closed behind the last submitter's error reply.
+    abort_run_locked("round " + std::to_string(round_) +
+                         ": aggregation failed: " + e.what(),
+                     AbortCode::kAggregateFailed);
+    return;
   }
   RoundMetrics metrics = aggregator_->metrics();
   metrics.evicted_sites = static_cast<std::int64_t>(evicted_.size());

@@ -68,6 +68,9 @@ enum class AbortCode : std::uint8_t {
   kRecoveryBelowQuorum = 4,
   /// Mask recovery spent its wave budget without converging.
   kRecoveryExhausted = 5,
+  /// The aggregator refused to close the round (e.g. a trimmed mean left
+  /// with too few contributions to trim).
+  kAggregateFailed = 6,
 };
 
 const char* abort_code_name(AbortCode code);

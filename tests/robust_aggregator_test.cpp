@@ -2,8 +2,10 @@
 // handling.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "core/logging.h"
 #include "flare/robust_aggregator.h"
@@ -100,17 +102,63 @@ TEST_F(RobustAggTest, TrimmedMeanNeedsEnoughContributions) {
 }
 
 TEST_F(RobustAggTest, SharedValidationRules) {
-  MedianAggregator agg;
-  agg.reset(dict_of({0, 0}), 3);
-  EXPECT_FALSE(agg.accept("a", Dxo{}));                    // metrics-only
-  EXPECT_TRUE(agg.accept("a", weights_dxo({1, 1})));
-  EXPECT_FALSE(agg.accept("a", weights_dxo({2, 2})));      // duplicate
-  EXPECT_FALSE(agg.accept("b", weights_dxo({1})));         // incongruent
-  Dxo diff(DxoKind::kWeightDiff, dict_of({1, 1}));
-  diff.set_meta_int(Dxo::kMetaNumSamples, 1);
-  EXPECT_FALSE(agg.accept("c", diff));                     // mixed kinds
-  EXPECT_EQ(agg.accepted_count(), 1);
-  EXPECT_EQ(agg.metrics().round, 3);
+  MedianAggregator median;
+  TrimmedMeanAggregator trimmed(1);
+  for (Aggregator* agg : {static_cast<Aggregator*>(&median),
+                          static_cast<Aggregator*>(&trimmed)}) {
+    agg->reset(dict_of({0, 0}), 3);
+    EXPECT_FALSE(agg->accept("a", Dxo{}));                  // metrics-only
+    EXPECT_TRUE(agg->accept("a", weights_dxo({1, 1})));
+    EXPECT_FALSE(agg->accept("a", weights_dxo({2, 2})));    // duplicate
+    EXPECT_FALSE(agg->accept("b", weights_dxo({1})));       // incongruent
+    Dxo diff(DxoKind::kWeightDiff, dict_of({1, 1}));
+    diff.set_meta_int(Dxo::kMetaNumSamples, 1);
+    EXPECT_FALSE(agg->accept("c", diff));                   // mixed kinds
+    EXPECT_FALSE(agg->accept("d", weights_dxo({1, 1}, 0)));   // no samples
+    EXPECT_FALSE(agg->accept("e", weights_dxo({1, 1}, -5)));  // negative
+    EXPECT_EQ(agg->accepted_count(), 1) << agg->name();
+    EXPECT_EQ(agg->metrics().round, 3);
+  }
+}
+
+TEST_F(RobustAggTest, MetricsIndependentOfArrivalOrderAndRevocation) {
+  const auto contribution = [](float value, double train_loss,
+                               double valid_acc, double valid_loss) {
+    Dxo dxo = weights_dxo({value});
+    dxo.set_meta_double(Dxo::kMetaTrainLoss, train_loss);
+    dxo.set_meta_double(Dxo::kMetaValidAcc, valid_acc);
+    dxo.set_meta_double(Dxo::kMetaValidLoss, valid_loss);
+    return dxo;
+  };
+  const Dxo a = contribution(1, 0.1, 0.7, 0.4);
+  const Dxo b = contribution(2, 0.2, 0.8, 0.5);
+  const Dxo c = contribution(3, 0.3, 0.9, 0.6);
+  const Dxo extra = contribution(4, 0.55, 0.35, 0.45);
+  MedianAggregator median_forward, median_backward;
+  TrimmedMeanAggregator trimmed_forward(1), trimmed_backward(1);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& [forward, backward] :
+       {std::pair<Aggregator*, Aggregator*>{&median_forward, &median_backward},
+        {&trimmed_forward, &trimmed_backward}}) {
+    forward->reset(dict_of({0}), 0);
+    ASSERT_TRUE(forward->accept("a", a));
+    ASSERT_TRUE(forward->accept("b", b));
+    ASSERT_TRUE(forward->accept("c", c));
+    backward->reset(dict_of({0}), 0);
+    ASSERT_TRUE(backward->accept("c", c));
+    ASSERT_TRUE(backward->accept("b", b));
+    ASSERT_TRUE(backward->accept("x", extra));
+    ASSERT_TRUE(backward->revoke("x"));
+    ASSERT_TRUE(backward->accept("a", a));
+    EXPECT_FLOAT_EQ(forward->aggregate().at("w").values[0], 2.0f);
+    EXPECT_FLOAT_EQ(backward->aggregate().at("w").values[0], 2.0f);
+    const RoundMetrics f = forward->metrics();
+    const RoundMetrics r = backward->metrics();
+    EXPECT_EQ(r.num_contributions, 3);
+    EXPECT_EQ(bits(f.train_loss), bits(r.train_loss)) << forward->name();
+    EXPECT_EQ(bits(f.valid_acc), bits(r.valid_acc)) << forward->name();
+    EXPECT_EQ(bits(f.valid_loss), bits(r.valid_loss)) << forward->name();
+  }
 }
 
 TEST_F(RobustAggTest, WeightDiffModeAppliesDeltaToGlobal) {
@@ -168,6 +216,47 @@ TEST_F(RobustAggTest, EndToEndFederationWithPoisonedSite) {
                          });
   const SimulationResult result = runner.run();
   EXPECT_NEAR(result.final_model.at("w").values[0], 2.0f, 0.1f);
+}
+
+TEST_F(DeadlineTest, FailedAggregateOnDeadlineAbortsRun) {
+  // TrimmedMean(1) needs more than 2 contributions; the deadline closes the
+  // round with 2, so aggregate() throws on the server's ticker thread.
+  ServerConfig config;
+  config.job_id = "trim-deadline";
+  config.num_rounds = 2;
+  config.expected_clients = 3;
+  config.min_clients = 2;
+  config.round_deadline_ms = 60;
+  cppflare::testing::ManualFederation fed(
+      config, 3, dict_of({0.0f, 0.0f}),
+      std::make_unique<TrimmedMeanAggregator>(1));
+  fed.register_all(3);
+  EXPECT_TRUE(fed.submit("site-1", 0, {1.0f, 1.0f}).accepted);
+  EXPECT_TRUE(fed.submit("site-2", 0, {3.0f, 3.0f}).accepted);
+  // site-3 never submits.
+  EXPECT_FALSE(fed.server().wait_until_finished(10000));
+  EXPECT_TRUE(fed.server().aborted());
+  EXPECT_EQ(fed.server().abort_code(), AbortCode::kAggregateFailed);
+  EXPECT_EQ(fed.get_task("site-3").task, TaskKind::kStop);
+  EXPECT_TRUE(fed.server().history().empty());
+}
+
+TEST_F(DeadlineTest, FailedAggregateOnLastSubmitAbortsRun) {
+  ServerConfig config;
+  config.job_id = "trim-submit";
+  config.num_rounds = 2;
+  config.expected_clients = 2;
+  config.min_clients = 2;
+  cppflare::testing::ManualFederation fed(
+      config, 2, dict_of({0.0f, 0.0f}),
+      std::make_unique<TrimmedMeanAggregator>(1));
+  fed.register_all(2);
+  EXPECT_TRUE(fed.submit("site-1", 0, {1.0f, 1.0f}).accepted);
+  // The last submit closes the round; its ack stands, the run aborts.
+  EXPECT_TRUE(fed.submit("site-2", 0, {3.0f, 3.0f}).accepted);
+  EXPECT_TRUE(fed.server().aborted());
+  EXPECT_EQ(fed.server().abort_code(), AbortCode::kAggregateFailed);
+  EXPECT_EQ(fed.get_task("site-1").task, TaskKind::kStop);
 }
 
 TEST_F(DeadlineTest, RoundClosesWithoutStraggler) {

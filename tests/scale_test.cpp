@@ -1,6 +1,6 @@
 // Scaling-path tests: long-poll park/push dispatch, seeded client-sampling
-// determinism, hierarchical aggregation bitwise-matching flat FedAvg, and
-// the multiplexed (site_workers) simulator mode up to 256 sites.
+// determinism, and the multiplexed (site_workers) simulator mode up to 256
+// sites.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "core/logging.h"
-#include "flare/hierarchy.h"
 #include "flare/simulator.h"
 #include "test_util.h"
 
@@ -19,8 +18,8 @@ namespace {
 
 using cppflare::testing::dict_of;
 
-/// Exact (bit-level) StateDict comparison — the hierarchical-vs-flat and
-/// reproducibility guarantees are memcmp-equal, not approximately equal.
+/// Exact (bit-level) StateDict comparison — the reproducibility guarantees
+/// are memcmp-equal, not approximately equal.
 ::testing::AssertionResult bitwise_equal(const nn::StateDict& a,
                                          const nn::StateDict& b) {
   if (a.entries().size() != b.entries().size()) {
@@ -42,8 +41,7 @@ using cppflare::testing::dict_of;
 
 /// Deterministic pseudo-random contribution for site `site_seed` (an LCG, so
 /// the test needs no global RNG state).
-Dxo lcg_contribution(std::uint64_t site_seed, std::int64_t samples,
-                     DxoKind kind = DxoKind::kWeights) {
+Dxo lcg_contribution(std::uint64_t site_seed, std::int64_t samples) {
   std::vector<float> w(17);
   std::uint64_t s = site_seed * 0x9e3779b97f4a7c15ull + 12345;
   for (float& v : w) {
@@ -51,16 +49,12 @@ Dxo lcg_contribution(std::uint64_t site_seed, std::int64_t samples,
     v = static_cast<float>(static_cast<std::int64_t>(s >> 40) % 2000 - 1000) /
         250.0f;
   }
-  Dxo d(kind, dict_of(std::move(w)));
+  Dxo d(DxoKind::kWeights, dict_of(std::move(w)));
   d.set_meta_int(Dxo::kMetaNumSamples, samples);
   d.set_meta_int(Dxo::kMetaRound, 0);
   d.set_meta_double(Dxo::kMetaTrainLoss, 1.0);
   d.set_meta_double(Dxo::kMetaValidAcc, 0.5);
   return d;
-}
-
-std::string padded_site(std::size_t i) {
-  return "s-" + std::string(i < 10 ? "0" : "") + std::to_string(i);
 }
 
 class ScaleTest : public ::testing::Test {
@@ -90,65 +84,6 @@ TEST_F(ScaleTest, GetTaskWaitMsRoundtripsAndLegacyFramesDecode) {
   const GetTaskRequest old = decode_get_task(legacy);
   EXPECT_EQ(old.session_id, req.session_id);
   EXPECT_EQ(old.wait_ms, 0);
-}
-
-// ---- hierarchical aggregation -------------------------------------------
-
-TEST_F(ScaleTest, HierarchicalMatchesFlatBitwiseAcrossShapes) {
-  for (const std::size_t n : {1u, 2u, 3u, 5u, 8u, 11u, 16u, 33u}) {
-    for (const std::int64_t fanout : {2, 4, 16}) {
-      for (const bool weighted : {true, false}) {
-        FedAvgAggregator flat(weighted);
-        HierarchicalFedAvgAggregator hier(weighted, fanout);
-        const nn::StateDict global = dict_of(std::vector<float>(17, 0.0f));
-        flat.reset(global, 0);
-        hier.reset(global, 0);
-        // Scrambled (and different) arrival orders: aggregation is defined
-        // over site-name order, not arrival order.
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t j = (i * 7 + 3) % n;
-          ASSERT_TRUE(flat.accept(padded_site(j),
-                                  lcg_contribution(j + 1, 10 + 7 * (j % 5))));
-        }
-        for (std::size_t i = n; i-- > 0;) {
-          ASSERT_TRUE(hier.accept(padded_site(i),
-                                  lcg_contribution(i + 1, 10 + 7 * (i % 5))));
-        }
-        const nn::StateDict a = flat.aggregate();
-        const nn::StateDict b = hier.aggregate();
-        EXPECT_TRUE(bitwise_equal(a, b))
-            << "n=" << n << " fanout=" << fanout << " weighted=" << weighted;
-      }
-    }
-  }
-}
-
-TEST_F(ScaleTest, HierarchicalMatchesFlatWithDiffsAndRevocation) {
-  const nn::StateDict global = dict_of(std::vector<float>(17, 0.25f));
-  FedAvgAggregator flat(true);
-  HierarchicalFedAvgAggregator hier(true, 4);
-  flat.reset(global, 2);
-  hier.reset(global, 2);
-  for (std::size_t i = 0; i < 9; ++i) {
-    Dxo d = lcg_contribution(i + 1, 20 + static_cast<std::int64_t>(i),
-                             DxoKind::kWeightDiff);
-    ASSERT_TRUE(flat.accept(padded_site(i), d));
-    ASSERT_TRUE(hier.accept(padded_site(i), d));
-  }
-  // Buffered aggregation supports revocation; both modes must agree on the
-  // post-revocation bits too.
-  EXPECT_TRUE(flat.revoke(padded_site(3)));
-  EXPECT_TRUE(hier.revoke(padded_site(3)));
-  EXPECT_TRUE(bitwise_equal(flat.aggregate(), hier.aggregate()));
-}
-
-TEST_F(ScaleTest, HierarchicalFanoutMustBePowerOfTwoAtLeastTwo) {
-  EXPECT_THROW(HierarchicalFedAvgAggregator(true, 0), ConfigError);
-  EXPECT_THROW(HierarchicalFedAvgAggregator(true, 1), ConfigError);
-  EXPECT_THROW(HierarchicalFedAvgAggregator(true, 3), ConfigError);
-  EXPECT_THROW(HierarchicalFedAvgAggregator(true, 12), ConfigError);
-  EXPECT_NO_THROW(HierarchicalFedAvgAggregator(true, 2));
-  EXPECT_NO_THROW(HierarchicalFedAvgAggregator(false, 64));
 }
 
 // ---- long-poll park and push --------------------------------------------
@@ -419,21 +354,13 @@ TEST_F(ScaleTest, MultiplexedMatchesThreadPerSiteBitwise) {
   EXPECT_TRUE(bitwise_equal(threads, multiplexed));
 }
 
-TEST_F(ScaleTest, HierarchicalFederationMatchesFlatBitwise) {
-  const nn::StateDict flat =
-      run_federation(11, 4, std::make_unique<FedAvgAggregator>(true));
-  const nn::StateDict hier = run_federation(
-      11, 4, std::make_unique<HierarchicalFedAvgAggregator>(true, 4));
-  EXPECT_TRUE(bitwise_equal(flat, hier));
-}
-
 TEST_F(ScaleTest, TwoFiftySixSitesOnEightWorkersReproducible) {
   // The acceptance case: a 256-site sampled federation multiplexed over 8
   // workers on one box, bitwise-reproducible across invocations.
   const nn::StateDict first = run_federation(
-      256, 8, std::make_unique<HierarchicalFedAvgAggregator>(true, 16), 64);
+      256, 8, std::make_unique<FedAvgAggregator>(true), 64);
   const nn::StateDict second = run_federation(
-      256, 8, std::make_unique<HierarchicalFedAvgAggregator>(true, 16), 64);
+      256, 8, std::make_unique<FedAvgAggregator>(true), 64);
   EXPECT_TRUE(bitwise_equal(first, second));
 }
 
