@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,9 @@ class ByteWriter {
   /// Raw bytes, no length prefix.
   void write_raw(const std::uint8_t* data, std::size_t n);
 
+  /// Pre-sizes the buffer for writers that know their exact output size.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
@@ -51,7 +55,7 @@ class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
-  explicit ByteReader(const std::vector<std::uint8_t>& buf)
+  explicit ByteReader(std::span<const std::uint8_t> buf)
       : ByteReader(buf.data(), buf.size()) {}
 
   std::uint8_t read_u8();

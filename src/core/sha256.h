@@ -5,10 +5,18 @@
 // client sends carries a MAC keyed by a per-participant secret issued at
 // provisioning time — using HMAC-SHA256 implemented here from the FIPS
 // 180-4 specification (no external crypto dependency is available offline).
+//
+// The block compression runs on the x86 SHA extensions (SHA-NI) when the CPU
+// has them and on a portable scalar loop otherwise. The choice is made once
+// per process at run time (`__builtin_cpu_supports`), not at build time: the
+// release flags pin x86-64-v3, which does not include SHA-NI. Both paths
+// produce the same digests; sha256_test checks them against each other.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +41,9 @@ class Sha256 {
   static Digest hash(const std::string& s);
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Compresses `count` whole 64-byte blocks with the process's block
+  /// function.
+  void process_blocks(const std::uint8_t* blocks, std::size_t count);
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
@@ -41,11 +51,17 @@ class Sha256 {
   std::uint64_t total_bytes_ = 0;
 };
 
-/// HMAC-SHA256 per RFC 2104.
+/// HMAC-SHA256 per RFC 2104 over the concatenation of `parts`, hashed in
+/// place: a message scattered over several buffers is never copied into one.
+Digest hmac_sha256(const std::vector<std::uint8_t>& key,
+                   std::initializer_list<std::span<const std::uint8_t>> parts);
 Digest hmac_sha256(const std::vector<std::uint8_t>& key,
                    const std::uint8_t* message, std::size_t len);
 Digest hmac_sha256(const std::vector<std::uint8_t>& key,
                    const std::vector<std::uint8_t>& message);
+
+/// The block function this process hashes with: "sha-ni" or "scalar".
+const char* sha256_implementation();
 
 /// Lowercase hex encoding of a digest.
 std::string to_hex(const Digest& digest);

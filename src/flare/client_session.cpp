@@ -157,7 +157,7 @@ ClientStep ClientSession::on_reply(const std::vector<std::uint8_t>& sealed_reply
   return advance(env.payload, now_ms);
 }
 
-ClientStep ClientSession::advance(const std::vector<std::uint8_t>& payload,
+ClientStep ClientSession::advance(std::span<const std::uint8_t> payload,
                                   std::int64_t now_ms) {
   switch (exchange_) {
     case Exchange::kRegister: {
@@ -227,7 +227,7 @@ ClientStep ClientSession::advance(const std::vector<std::uint8_t>& payload,
   throw ProtocolError("unreachable client exchange");
 }
 
-ClientStep ClientSession::on_poll_reply(const std::vector<std::uint8_t>& payload,
+ClientStep ClientSession::on_poll_reply(std::span<const std::uint8_t> payload,
                                         std::int64_t now_ms) {
   if (peek_type(payload) == MsgType::kUnmaskRequest) {
     // Mask-recovery phase (DESIGN.md §14): the server lost sites after

@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -148,9 +149,9 @@ class ClientSession {
   ClientStep send();
   ClientStep reregister(const std::string& detail);
   /// The current exchange succeeded with `payload`; decide the next one.
-  ClientStep advance(const std::vector<std::uint8_t>& payload,
+  ClientStep advance(std::span<const std::uint8_t> payload,
                      std::int64_t now_ms);
-  ClientStep on_poll_reply(const std::vector<std::uint8_t>& payload,
+  ClientStep on_poll_reply(std::span<const std::uint8_t> payload,
                            std::int64_t now_ms);
   void train(const TaskMessage& task);
 

@@ -12,7 +12,7 @@ core::ByteWriter begin(MsgType type) {
   return w;
 }
 
-core::ByteReader expect(const std::vector<std::uint8_t>& frame, MsgType type) {
+core::ByteReader expect(std::span<const std::uint8_t> frame, MsgType type) {
   core::ByteReader r(frame);
   const std::uint8_t tag = r.read_u8();
   if (tag != static_cast<std::uint8_t>(type)) {
@@ -116,7 +116,7 @@ std::vector<std::uint8_t> pack(const UnmaskResponse& m) {
   return w.take();
 }
 
-MsgType peek_type(const std::vector<std::uint8_t>& frame) {
+MsgType peek_type(std::span<const std::uint8_t> frame) {
   if (frame.empty()) throw ProtocolError("empty frame");
   const std::uint8_t tag = frame[0];
   if (tag < static_cast<std::uint8_t>(MsgType::kRegister) ||
@@ -126,7 +126,7 @@ MsgType peek_type(const std::vector<std::uint8_t>& frame) {
   return static_cast<MsgType>(tag);
 }
 
-RegisterRequest decode_register(const std::vector<std::uint8_t>& frame) {
+RegisterRequest decode_register(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kRegister);
   RegisterRequest m;
   m.site_name = r.read_string();
@@ -134,7 +134,7 @@ RegisterRequest decode_register(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-RegisterAck decode_register_ack(const std::vector<std::uint8_t>& frame) {
+RegisterAck decode_register_ack(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kRegisterAck);
   RegisterAck m;
   m.accepted = r.read_bool();
@@ -143,7 +143,7 @@ RegisterAck decode_register_ack(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-GetTaskRequest decode_get_task(const std::vector<std::uint8_t>& frame) {
+GetTaskRequest decode_get_task(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kGetTask);
   GetTaskRequest m;
   m.session_id = r.read_string();
@@ -152,7 +152,7 @@ GetTaskRequest decode_get_task(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-TaskMessage decode_task(const std::vector<std::uint8_t>& frame) {
+TaskMessage decode_task(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kTask);
   TaskMessage m;
   const std::uint8_t kind = r.read_u8();
@@ -166,7 +166,7 @@ TaskMessage decode_task(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-SubmitUpdateRequest decode_submit(const std::vector<std::uint8_t>& frame) {
+SubmitUpdateRequest decode_submit(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kSubmitUpdate);
   SubmitUpdateRequest m;
   m.session_id = r.read_string();
@@ -175,7 +175,7 @@ SubmitUpdateRequest decode_submit(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-SubmitAck decode_submit_ack(const std::vector<std::uint8_t>& frame) {
+SubmitAck decode_submit_ack(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kSubmitAck);
   SubmitAck m;
   m.accepted = r.read_bool();
@@ -188,7 +188,7 @@ SubmitAck decode_submit_ack(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-ErrorMessage decode_error(const std::vector<std::uint8_t>& frame) {
+ErrorMessage decode_error(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kError);
   ErrorMessage m;
   m.message = r.read_string();
@@ -200,7 +200,7 @@ ErrorMessage decode_error(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-UnmaskRequest decode_unmask_request(const std::vector<std::uint8_t>& frame) {
+UnmaskRequest decode_unmask_request(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kUnmaskRequest);
   UnmaskRequest m;
   m.round = r.read_i64();
@@ -213,7 +213,7 @@ UnmaskRequest decode_unmask_request(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-UnmaskResponse decode_unmask_response(const std::vector<std::uint8_t>& frame) {
+UnmaskResponse decode_unmask_response(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kUnmaskResponse);
   UnmaskResponse m;
   m.session_id = r.read_string();

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -159,7 +160,8 @@ inline constexpr const char* kDuplicateContribution = "duplicate contribution";
 
 // ---- encoding -----------------------------------------------------------
 // pack_* produce a full tagged frame; `peek_type` reads the tag; decode_*
-// expect the matching tag and throw ProtocolError otherwise.
+// expect the matching tag and throw ProtocolError otherwise. The readers take
+// a view, so an opened envelope's payload decodes without a copy.
 
 std::vector<std::uint8_t> pack(const RegisterRequest& m);
 std::vector<std::uint8_t> pack(const RegisterAck& m);
@@ -171,16 +173,16 @@ std::vector<std::uint8_t> pack(const ErrorMessage& m);
 std::vector<std::uint8_t> pack(const UnmaskRequest& m);
 std::vector<std::uint8_t> pack(const UnmaskResponse& m);
 
-MsgType peek_type(const std::vector<std::uint8_t>& frame);
+MsgType peek_type(std::span<const std::uint8_t> frame);
 
-RegisterRequest decode_register(const std::vector<std::uint8_t>& frame);
-RegisterAck decode_register_ack(const std::vector<std::uint8_t>& frame);
-GetTaskRequest decode_get_task(const std::vector<std::uint8_t>& frame);
-TaskMessage decode_task(const std::vector<std::uint8_t>& frame);
-SubmitUpdateRequest decode_submit(const std::vector<std::uint8_t>& frame);
-SubmitAck decode_submit_ack(const std::vector<std::uint8_t>& frame);
-ErrorMessage decode_error(const std::vector<std::uint8_t>& frame);
-UnmaskRequest decode_unmask_request(const std::vector<std::uint8_t>& frame);
-UnmaskResponse decode_unmask_response(const std::vector<std::uint8_t>& frame);
+RegisterRequest decode_register(std::span<const std::uint8_t> frame);
+RegisterAck decode_register_ack(std::span<const std::uint8_t> frame);
+GetTaskRequest decode_get_task(std::span<const std::uint8_t> frame);
+TaskMessage decode_task(std::span<const std::uint8_t> frame);
+SubmitUpdateRequest decode_submit(std::span<const std::uint8_t> frame);
+SubmitAck decode_submit_ack(std::span<const std::uint8_t> frame);
+ErrorMessage decode_error(std::span<const std::uint8_t> frame);
+UnmaskRequest decode_unmask_request(std::span<const std::uint8_t> frame);
+UnmaskResponse decode_unmask_response(std::span<const std::uint8_t> frame);
 
 }  // namespace cppflare::flare

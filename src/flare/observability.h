@@ -41,6 +41,8 @@ inline constexpr const char* kServerDeadlineFired = "server.deadline_fired";
 inline constexpr const char* kServerTrainLoss = "server.round.train_loss";
 inline constexpr const char* kServerValidAcc = "server.round.valid_acc";
 inline constexpr const char* kServerValidLoss = "server.round.valid_loss";
+// kTrain task bodies packed; one per round however many sites receive it.
+inline constexpr const char* kServerTaskEncodes = "server.task_encodes";
 // Prefixes for dynamic names.
 inline constexpr const char* kRejectionPrefix = "server.rejections.";  // + reason
 inline constexpr const char* kSitePrefix = "site.";  // + <name>.<metric>

@@ -6,6 +6,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -231,52 +232,65 @@ void EpollReactor::accept_ready() {
 
 void EpollReactor::conn_readable(Conn& conn) {
   const std::uint64_t id = conn.id;
-  std::uint8_t chunk[64 * 1024];
   for (;;) {
-    const ssize_t got = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+    // Framing: u32 little-endian length prefix, then the payload. A frame
+    // is complete once its buffer is full (at once, for a zero-length one).
+    if (conn.in_body && conn.in_frame_got == conn.in_frame.size()) {
+      conn.in_body = false;
+      conn.in_frame_got = 0;
+      ReactorMetrics::get().frames_recv.add(1);
+      dispatch_frame(conn, std::exchange(conn.in_frame, {}));
+    }
+    std::uint8_t* const dst =
+        conn.in_body ? conn.in_frame.data() + conn.in_frame_got
+                     : conn.in_header.data() + conn.in_header_got;
+    const std::size_t want =
+        conn.in_body ? conn.in_frame.size() - conn.in_frame_got
+                     : conn.in_header.size() - conn.in_header_got;
+    const ssize_t got = ::recv(conn.fd, dst, want, 0);
     if (got == 0) {
       close_conn(id);
       return;
     }
     if (got < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       close_conn(id);
       return;
     }
-    conn.inbuf.insert(conn.inbuf.end(), chunk, chunk + got);
     conn.last_activity = std::chrono::steady_clock::now();
     ReactorMetrics::get().bytes_recv.add(got);
+    if (conn.in_body) {
+      conn.in_frame_got += static_cast<std::size_t>(got);
+      continue;
+    }
+    conn.in_header_got += static_cast<std::size_t>(got);
+    if (conn.in_header_got == conn.in_header.size() && !begin_frame(conn)) {
+      return;  // oversized announcement: the connection is gone
+    }
   }
-  // Frame reassembly: u32 little-endian length prefix, then the payload.
-  // Consume every complete frame, keep the tail for the next readable event.
-  std::size_t consumed = 0;
+}
+
+bool EpollReactor::begin_frame(Conn& conn) {
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<std::uint32_t>(conn.in_header[i]) << (8 * i);
+  }
+  conn.in_header_got = 0;
+  // Checked before anything is allocated for the frame.
   const std::uint32_t cap = std::min(options_.max_frame_bytes, 64u << 20);
-  while (conn.inbuf.size() - consumed >= 4) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(conn.inbuf[consumed + i]) << (8 * i);
-    }
-    if (len > cap) {
-      LOG(warn)
-          .msg("oversized frame announced; closing connection")
-          .kv("bytes", static_cast<std::int64_t>(len))
-          .kv("cap", static_cast<std::int64_t>(cap));
-      close_conn(id);
-      return;
-    }
-    if (conn.inbuf.size() - consumed < 4 + static_cast<std::size_t>(len)) break;
-    std::vector<std::uint8_t> frame(
-        conn.inbuf.begin() + static_cast<std::ptrdiff_t>(consumed + 4),
-        conn.inbuf.begin() + static_cast<std::ptrdiff_t>(consumed + 4 + len));
-    consumed += 4 + len;
-    ReactorMetrics::get().frames_recv.add(1);
-    dispatch_frame(conn, std::move(frame));
+  if (len > cap) {
+    LOG(warn)
+        .msg("oversized frame announced; closing connection")
+        .kv("bytes", static_cast<std::int64_t>(len))
+        .kv("cap", static_cast<std::int64_t>(cap));
+    close_conn(conn.id);
+    return false;
   }
-  if (consumed > 0) {
-    conn.inbuf.erase(conn.inbuf.begin(),
-                     conn.inbuf.begin() + static_cast<std::ptrdiff_t>(consumed));
-  }
+  conn.in_frame.resize(len);
+  conn.in_frame_got = 0;
+  conn.in_body = true;
+  return true;
 }
 
 void EpollReactor::dispatch_frame(Conn& conn, std::vector<std::uint8_t> frame) {
@@ -316,16 +330,13 @@ void EpollReactor::drain_completions() {
       close_conn(c.conn_id);
       continue;
     }
-    // Frame the response: header + payload as one contiguous buffer so a
-    // partial send never splits mid-header bookkeeping across buffers.
-    std::vector<std::uint8_t> framed;
-    framed.reserve(4 + c.payload.size());
+    OutFrame out;
     const std::uint32_t len = static_cast<std::uint32_t>(c.payload.size());
     for (int i = 0; i < 4; ++i) {
-      framed.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+      out.header[i] = static_cast<std::uint8_t>(len >> (8 * i));
     }
-    framed.insert(framed.end(), c.payload.begin(), c.payload.end());
-    conn.outq.push_back(std::move(framed));
+    out.payload = std::move(c.payload);
+    conn.outq.push_back(std::move(out));
     ReactorMetrics::get().frames_sent.add(1);
     if (!flush_writes(conn)) {
       close_conn(c.conn_id);
@@ -337,10 +348,26 @@ void EpollReactor::drain_completions() {
 
 bool EpollReactor::flush_writes(Conn& conn) {
   while (!conn.outq.empty()) {
-    const std::vector<std::uint8_t>& buf = conn.outq.front();
-    while (conn.out_offset < buf.size()) {
-      const ssize_t sent = ::send(conn.fd, buf.data() + conn.out_offset,
-                                  buf.size() - conn.out_offset, MSG_NOSIGNAL);
+    OutFrame& out = conn.outq.front();
+    const std::size_t header = out.header.size();
+    while (conn.out_offset < header + out.payload.size()) {
+      // One gathered send of whatever is left of the prefix and payload.
+      iovec iov[2];
+      std::size_t parts = 0;
+      if (conn.out_offset < header) {
+        iov[parts++] = {out.header.data() + conn.out_offset,
+                        header - conn.out_offset};
+      }
+      const std::size_t payload_sent =
+          conn.out_offset > header ? conn.out_offset - header : 0;
+      if (payload_sent < out.payload.size()) {
+        iov[parts++] = {out.payload.data() + payload_sent,
+                        out.payload.size() - payload_sent};
+      }
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = parts;
+      const ssize_t sent = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
       if (sent < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // backpressure

@@ -3,8 +3,9 @@
 //
 // One reactor thread owns every fd (the listener, an eventfd wakeup, and
 // all accepted connections) and multiplexes them through a single
-// epoll_wait loop: nonblocking accept, nonblocking reads with per-connection
-// frame reassembly, nonblocking writes with per-connection output queues.
+// epoll_wait loop: nonblocking accept, nonblocking reads straight into a
+// frame-sized buffer per connection, nonblocking gathered writes (length
+// prefix + payload) from per-connection output queues.
 // Complete frames are handed to a bounded worker pool (core/thread_pool.h)
 // through an AsyncDispatcher; responses come back over a mutex-guarded
 // completion queue plus an eventfd kick. Compared to the old
@@ -30,6 +31,7 @@
 //    the sink lock is still flagged.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -97,13 +99,29 @@ class EpollReactor {
     void push(Completion c);
   };
 
+  /// A response waiting to be written: its length prefix and payload are
+  /// sent together with one sendmsg, so the payload is never copied just to
+  /// prepend four bytes.
+  struct OutFrame {
+    std::array<std::uint8_t, 4> header{};
+    std::vector<std::uint8_t> payload;
+  };
+
   /// Per-connection state. Owned and touched by the reactor thread only.
   struct Conn {
     int fd = -1;
     std::uint64_t id = 0;
-    std::vector<std::uint8_t> inbuf;       // unparsed inbound bytes
-    std::deque<std::vector<std::uint8_t>> outq;  // framed, unsent responses
-    std::size_t out_offset = 0;            // sent prefix of outq.front()
+    // Inbound: the length prefix is read into in_header; once it has passed
+    // the cap check, the payload is received straight into in_frame, sized
+    // to the announced length.
+    std::array<std::uint8_t, 4> in_header{};
+    std::size_t in_header_got = 0;
+    bool in_body = false;                  // in_header done, reading in_frame
+    std::vector<std::uint8_t> in_frame;
+    std::size_t in_frame_got = 0;
+    std::deque<OutFrame> outq;             // unsent responses
+    std::size_t out_offset = 0;            // sent prefix of outq.front(),
+                                           // header bytes included
     std::int64_t in_flight = 0;            // dispatched, not yet completed
     bool wants_write = false;              // EPOLLOUT currently armed
     std::chrono::steady_clock::time_point last_activity;
@@ -114,6 +132,9 @@ class EpollReactor {
   void conn_readable(Conn& conn);
   bool flush_writes(Conn& conn);  // false = connection broken
   void update_interest(Conn& conn);
+  /// Decodes a complete length prefix; false (connection closed) when it
+  /// announces more than the cap.
+  bool begin_frame(Conn& conn);
   void dispatch_frame(Conn& conn, std::vector<std::uint8_t> frame);
   void drain_completions();
   void sweep_idle();

@@ -9,18 +9,14 @@ namespace cppflare::flare {
 
 namespace {
 constexpr std::uint32_t kEnvelopeMagic = 0x46454e56;  // "FENV"
+constexpr std::size_t kMacBytes = std::tuple_size_v<core::Digest>;
 
+// The MAC covers every frame byte between the magic and the MAC itself:
+// sender, job id, sequence and payload length (the header), then the payload.
 core::Digest compute_mac(const std::vector<std::uint8_t>& secret,
-                         const std::string& sender, const std::string& job_id,
-                         std::uint64_t sequence,
-                         const std::vector<std::uint8_t>& payload) {
-  core::ByteWriter macd;
-  macd.write_string(sender);
-  macd.write_string(job_id);
-  macd.write_u64(sequence);
-  macd.write_u64(payload.size());
-  macd.write_raw(payload.data(), payload.size());
-  return core::hmac_sha256(secret, macd.bytes());
+                         std::span<const std::uint8_t> header,
+                         std::span<const std::uint8_t> payload) {
+  return core::hmac_sha256(secret, {header, payload});
 }
 
 }  // namespace
@@ -30,22 +26,25 @@ std::vector<std::uint8_t> seal(const std::string& sender,
                                std::uint64_t sequence,
                                const std::vector<std::uint8_t>& payload,
                                const std::string& job_id) {
-  const core::Digest mac =
-      compute_mac(secret, sender, job_id, sequence, payload);
+  const std::size_t header_bytes =
+      4 + sender.size() + 4 + job_id.size() + 8 + 8;
   core::ByteWriter w;
+  w.reserve(4 + header_bytes + payload.size() + kMacBytes);
   w.write_u32(kEnvelopeMagic);
   w.write_string(sender);
   w.write_string(job_id);
   w.write_u64(sequence);
   w.write_u64(payload.size());
   w.write_raw(payload.data(), payload.size());
+  const std::span<const std::uint8_t> frame(w.bytes());
+  const core::Digest mac = compute_mac(secret, frame.subspan(4, header_bytes),
+                                       frame.subspan(4 + header_bytes));
   w.write_raw(mac.data(), mac.size());
   return w.take();
 }
 
-namespace {
-
-Envelope parse(const std::vector<std::uint8_t>& sealed, core::Digest* mac_out) {
+Envelope open(const std::vector<std::uint8_t>& sealed,
+              const std::vector<std::uint8_t>& secret) {
   core::ByteReader r(sealed);
   if (r.read_u32() != kEnvelopeMagic) throw ProtocolError("envelope: bad magic");
   Envelope env;
@@ -55,38 +54,36 @@ Envelope parse(const std::vector<std::uint8_t>& sealed, core::Digest* mac_out) {
   const std::uint64_t n = r.read_u64();
   // Written as a subtraction: `n + 32` wraps for a hostile length near
   // 2^64 and would pass the check.
-  if (r.remaining() < 32 || r.remaining() - 32 < n) {
+  if (r.remaining() < kMacBytes || r.remaining() - kMacBytes < n) {
     throw ProtocolError("envelope: truncated");
   }
-  env.payload = r.read_raw(static_cast<std::size_t>(n));
-  const std::vector<std::uint8_t> mac_bytes = r.read_raw(mac_out->size());
-  std::copy(mac_bytes.begin(), mac_bytes.end(), mac_out->begin());
-  if (!r.exhausted()) throw ProtocolError("envelope: trailing bytes");
-  return env;
-}
-
-}  // namespace
-
-Envelope open(const std::vector<std::uint8_t>& sealed,
-              const std::vector<std::uint8_t>& secret) {
+  if (r.remaining() - kMacBytes != n) {
+    throw ProtocolError("envelope: trailing bytes");
+  }
+  const std::span<const std::uint8_t> frame(sealed);
+  const std::size_t header_end = r.position();
+  const std::span<const std::uint8_t> payload =
+      frame.subspan(header_end, static_cast<std::size_t>(n));
   core::Digest mac;
-  Envelope env = parse(sealed, &mac);
+  std::copy_n(frame.begin() + static_cast<std::ptrdiff_t>(header_end + n),
+              kMacBytes, mac.begin());
   const core::Digest expect =
-      compute_mac(secret, env.sender, env.job_id, env.sequence, env.payload);
+      compute_mac(secret, frame.subspan(4, header_end - 4), payload);
   if (!core::digests_equal(mac, expect)) {
     throw ProtocolError("envelope: MAC verification failed for sender '" +
                         env.sender + "'");
   }
+  env.payload = payload;
   return env;
 }
 
-std::string peek_sender(const std::vector<std::uint8_t>& sealed) {
+std::string peek_sender(std::span<const std::uint8_t> sealed) {
   core::ByteReader r(sealed);
   if (r.read_u32() != kEnvelopeMagic) throw ProtocolError("envelope: bad magic");
   return r.read_string();
 }
 
-std::string peek_job(const std::vector<std::uint8_t>& sealed) {
+std::string peek_job(std::span<const std::uint8_t> sealed) {
   core::ByteReader r(sealed);
   if (r.read_u32() != kEnvelopeMagic) throw ProtocolError("envelope: bad magic");
   (void)r.read_string();  // sender

@@ -6,10 +6,15 @@
 // the MAC (constant time) and enforces sequence monotonicity per sender,
 // which defeats tampering and replay on an untrusted transport — the role
 // TLS plays in a production NVFlare deployment.
+//
+// The per-byte path touches a model-sized payload as little as possible:
+// `seal` copies it once into the frame and hashes it once; `open` hashes it
+// once and hands back a view into the sealed buffer instead of a copy.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,7 +31,9 @@ struct Envelope {
   /// job router whenever more than one job is live.
   std::string job_id;
   std::uint64_t sequence = 0;
-  std::vector<std::uint8_t> payload;
+  /// View into the buffer passed to `open`, valid only while that buffer
+  /// lives and is unmodified. Copy it out to keep it longer.
+  std::span<const std::uint8_t> payload;
 };
 
 /// Wraps `payload` in a MAC'd envelope as `sender` with `sequence`, bound
@@ -38,19 +45,24 @@ std::vector<std::uint8_t> seal(const std::string& sender,
                                const std::string& job_id = {});
 
 /// Parses and verifies an envelope against `secret`. Throws ProtocolError on
-/// malformed input or MAC mismatch. Does NOT check the sequence; callers
-/// with per-sender state use `SequenceTracker`.
+/// malformed input or MAC mismatch; the MAC is checked (in constant time)
+/// before the payload is exposed. The returned payload views `sealed`.
+/// Does NOT check the sequence; callers with per-sender state use
+/// `SequenceTracker`.
 Envelope open(const std::vector<std::uint8_t>& sealed,
               const std::vector<std::uint8_t>& secret);
+/// A temporary would leave the payload view dangling.
+Envelope open(std::vector<std::uint8_t>&& sealed,
+              const std::vector<std::uint8_t>& secret) = delete;
 
 /// Parses only the sender name (needed to look up the right secret before
 /// verification).
-std::string peek_sender(const std::vector<std::uint8_t>& sealed);
+std::string peek_sender(std::span<const std::uint8_t> sealed);
 
 /// Parses only the job binding — the router's routing key. Unverified until
 /// `open` succeeds; a forged job id at worst routes the frame to a job whose
 /// MAC check then rejects it.
-std::string peek_job(const std::vector<std::uint8_t>& sealed);
+std::string peek_job(std::span<const std::uint8_t> sealed);
 
 /// Enforces strictly increasing sequence numbers per sender. Thread-safe.
 class SequenceTracker {

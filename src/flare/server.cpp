@@ -7,6 +7,7 @@
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/rng.h"
+#include "core/sha256.h"
 #include "flare/observability.h"
 
 namespace cppflare::flare {
@@ -138,6 +139,11 @@ FederatedServer::FederatedServer(ServerConfig config,
       journal_->discard();
     }
   }
+  // Which SHA-256 block function seals and opens this job's frames: the
+  // scalar fallback is ~7x slower, which a slow round can be traced to.
+  LOG_AS(kSag, info)
+      .msg("Server ready for job " + config_.job_id)
+      .kv("sha256", core::sha256_implementation());
   // Unlocked reads are safe here: the ticker — the first other thread — has
   // not started yet, so construction still owns all state exclusively.
   born_terminal_ = finished_ || aborted_;
@@ -226,9 +232,8 @@ void FederatedServer::handle_sealed_async(
     }
     record_liveness(sender);
     if (peek_type(env.payload) == MsgType::kGetTask) {
-      std::optional<std::vector<std::uint8_t>> body =
-          park_or_reply_get_task(sender, key, decode_get_task(env.payload),
-                                 respond);
+      const Body body = park_or_reply_get_task(
+          sender, key, decode_get_task(env.payload), respond);
       if (body) respond(seal_as_server(sender, key, *body));
     } else {
       respond(seal_as_server(sender, key, handle_frame(sender, env.payload)));
@@ -252,7 +257,7 @@ void FederatedServer::handle_sealed_async(
   drain_ready_replies();
 }
 
-std::optional<std::vector<std::uint8_t>> FederatedServer::park_or_reply_get_task(
+FederatedServer::Body FederatedServer::park_or_reply_get_task(
     const std::string& sender, const std::vector<std::uint8_t>& key,
     const GetTaskRequest& req, RespondFn& respond) {
   core::MutexLock lock(mu_);
@@ -287,13 +292,13 @@ std::optional<std::vector<std::uint8_t>> FederatedServer::park_or_reply_get_task
         .set(static_cast<double>(parked_.size()));
     // The nearest deadline may have moved; let the ticker re-plan.
     ticker_cv_.notify_all();
-    return std::nullopt;
+    return nullptr;
   }
   return std::move(reply.body);
 }
 
 std::vector<std::uint8_t> FederatedServer::handle_frame(
-    const std::string& sender, const std::vector<std::uint8_t>& frame) {
+    const std::string& sender, std::span<const std::uint8_t> frame) {
   switch (peek_type(frame)) {
     case MsgType::kRegister:
       return on_register(sender, decode_register(frame));
@@ -363,42 +368,49 @@ std::vector<std::uint8_t> FederatedServer::on_register(const std::string& sender
 
 FederatedServer::PollReply FederatedServer::build_poll_reply_locked(
     const std::string& sender) {
+  const auto packed = [](const auto& message) {
+    return std::make_shared<const std::vector<std::uint8_t>>(pack(message));
+  };
+  TaskMessage none;
+  none.round = round_;
+  none.total_rounds = config_.num_rounds;
   if (phase_ == RoundPhase::kRecovering && !finished_ && !aborted_) {
     if (unmask_pending_.count(sender) != 0) {
       // The skeleton lets a survivor restarted after a coordinator crash
       // (its mask filter's upload-time state gone) still derive its share.
       return PollReply{
-          pack(UnmaskRequest{round_, recovery_wave_, recovery_dropped_,
-                             Dxo(DxoKind::kWeights, global_.zeros_like())}),
+          packed(UnmaskRequest{round_, recovery_wave_, recovery_dropped_,
+                               Dxo(DxoKind::kWeights, global_.zeros_like())}),
           /*parkable=*/false};
     }
     // The round is frozen: nobody else gets work until recovery resolves.
-    TaskMessage none;
-    none.round = round_;
-    none.total_rounds = config_.num_rounds;
-    return PollReply{pack(none), /*parkable=*/true};
+    return PollReply{packed(none), /*parkable=*/true};
   }
-  TaskMessage task = build_task_locked(sender);
-  const bool parkable =
-      task.task == TaskKind::kNone && !finished_ && !aborted_;
-  return PollReply{pack(task), parkable};
+  if (finished_ || aborted_) {
+    TaskMessage stop = none;
+    stop.task = TaskKind::kStop;
+    return PollReply{packed(stop), /*parkable=*/false};
+  }
+  if (!started_ || resolved_locked(sender) || !participates_locked(sender)) {
+    return PollReply{packed(none), /*parkable=*/true};
+  }
+  return PollReply{train_body_locked(), /*parkable=*/false};
 }
 
-TaskMessage FederatedServer::build_task_locked(const std::string& sender) {
-  TaskMessage task;
-  task.total_rounds = config_.num_rounds;
-  task.round = round_;
-  if (finished_ || aborted_) {
-    task.task = TaskKind::kStop;
-  } else if (!started_ || resolved_locked(sender) ||
-             !participates_locked(sender)) {
-    task.task = TaskKind::kNone;
-  } else {
+FederatedServer::Body FederatedServer::train_body_locked() {
+  if (!train_body_) {
+    // TaskMessage carries nothing per site, so one packing serves every
+    // site this round.
+    TaskMessage task;
     task.task = TaskKind::kTrain;
+    task.round = round_;
+    task.total_rounds = config_.num_rounds;
     task.payload = Dxo(DxoKind::kWeights, global_);
     task.payload.set_meta_int(Dxo::kMetaRound, round_);
+    train_body_ = std::make_shared<const std::vector<std::uint8_t>>(pack(task));
+    metrics_.counter(metric_names::kServerTaskEncodes).add(1);
   }
-  return task;
+  return train_body_;
 }
 
 void FederatedServer::service_parked_locked() {
@@ -430,7 +442,7 @@ void FederatedServer::drain_ready_replies() {
   }
   for (ReadyReply& reply : ready) {
     try {
-      reply.respond(seal_as_server(reply.sender, reply.key, reply.body));
+      reply.respond(seal_as_server(reply.sender, reply.key, *reply.body));
     } catch (const std::exception& e) {
       LOG_AS(kSag, warn)
           .msg("Dropping undeliverable parked reply")
@@ -1008,6 +1020,7 @@ void FederatedServer::finish_round_locked(bool deadline_fired) {
   rejected_acks_.clear();
   scored_quarantined_.clear();
   round_ += 1;
+  train_body_.reset();  // global_ changed above, under this same lock
   if (round_ >= config_.num_rounds) {
     finished_ = true;
     events_.fire(EventType::kEndRun, make_context_locked());

@@ -223,19 +223,23 @@ class FederatedServer {
   }
 
  private:
+  /// A packed reply body. Shared because every site polling in one round
+  /// receives the same kTrain body; only the envelope differs per site.
+  using Body = std::shared_ptr<const std::vector<std::uint8_t>>;
+
   void handle_sealed_async(const std::vector<std::uint8_t>& request,
                            RespondFn respond);
   std::vector<std::uint8_t> handle_frame(const std::string& sender,
-                                         const std::vector<std::uint8_t>& frame);
+                                         std::span<const std::uint8_t> frame);
   std::vector<std::uint8_t> seal_as_server(const std::string& sender,
                                            const std::vector<std::uint8_t>& key,
                                            const std::vector<std::uint8_t>& body);
 
-  /// get_task: parks the call (consuming `respond`, returns nullopt) or
+  /// get_task: parks the call (consuming `respond`, returns null) or
   /// returns the reply body to answer inline. Only moves from `respond`
   /// when it parks, so the caller's error paths can still answer after a
   /// throw.
-  std::optional<std::vector<std::uint8_t>> park_or_reply_get_task(
+  Body park_or_reply_get_task(
       const std::string& sender, const std::vector<std::uint8_t>& key,
       const GetTaskRequest& req, RespondFn& respond);
 
@@ -247,19 +251,20 @@ class FederatedServer {
                                       const UnmaskResponse& req);
 
   FLContext make_context_locked() const CF_REQUIRES(mu_);
-  TaskMessage build_task_locked(const std::string& sender) CF_REQUIRES(mu_);
+  /// The round's kTrain body, packed on first use (see train_body_).
+  Body train_body_locked() CF_REQUIRES(mu_);
   /// What a poll from `sender` should receive *now*: during mask recovery a
   /// survivor that owes its share gets an UnmaskRequest, everyone else a
   /// TaskMessage. `parkable` marks the do-nothing kNone answer a long-poll
   /// may hold instead of delivering.
   struct PollReply {
-    std::vector<std::uint8_t> body;
+    Body body;
     bool parkable = false;
   };
   PollReply build_poll_reply_locked(const std::string& sender) CF_REQUIRES(mu_);
   /// Completes every parked poll whose task is no longer kNone (or whose
   /// deadline passed) by staging it on ready_replies_. Called after any
-  /// state change that can change build_task_locked's answer.
+  /// state change that can change build_poll_reply_locked's answer.
   void service_parked_locked() CF_REQUIRES(mu_);
   /// Seals and delivers everything staged on ready_replies_. Must be called
   /// with mu_ RELEASED (respond may wake a client that immediately calls
@@ -317,6 +322,12 @@ class FederatedServer {
   mutable core::Mutex mu_;
   mutable core::CondVar finished_cv_;
   nn::StateDict global_ CF_GUARDED_BY(mu_);
+  /// The kTrain body for (round_, global_), packed once and shared by every
+  /// site's reply that round. Null until first needed; reset when round_
+  /// advances, which is also the only place global_ changes after
+  /// construction (a resumed server starts null, so checkpoint and journal
+  /// resume need no extra step).
+  Body train_body_ CF_GUARDED_BY(mu_);
   // The aggregator's per-site buffers and the validator's admitted-norm set
   // have no locks of their own: FederatedServer::mu_ is their capability
   // (accept/revoke/aggregate and admit/score/flag_outliers are only ever
@@ -407,7 +418,7 @@ class FederatedServer {
   struct ReadyReply {
     std::string sender;
     std::vector<std::uint8_t> key;
-    std::vector<std::uint8_t> body;  // packed, not yet sealed
+    Body body;  // packed, not yet sealed
     RespondFn respond;
   };
   std::map<std::string, ParkedPoll> parked_ CF_GUARDED_BY(mu_);

@@ -516,7 +516,8 @@ TEST_F(JobsTest, CrossJobReplayDoesNotPoisonTheReplayTracker) {
   const std::vector<std::uint8_t> replayed =
       seal("site-1", site.secret, 1000,
            pack(RegisterRequest{"site-1", site.token}), "job-a");
-  const Envelope reply = open(job_b.exchange(replayed), site.secret);
+  const auto response = job_b.exchange(replayed);
+  const Envelope reply = open(response, site.secret);
   EXPECT_EQ(decode_error(reply.payload).code, ErrorCode::kWrongJob);
 
   // The site's first legitimate job-b frame (sequence 1) still goes through.
@@ -541,7 +542,8 @@ TEST_F(JobsTest, UnknownSendersCannotEnumerateHostedJobIds) {
   const auto probe = [&](const std::string& job_id) {
     const std::vector<std::uint8_t> frame =
         seal("mallory", empty_key, 1, pack(GetTaskRequest{"s", 0}), job_id);
-    const Envelope reply = open(router.exchange(frame), empty_key);
+    const auto response = router.exchange(frame);
+    const Envelope reply = open(response, empty_key);
     return decode_error(reply.payload);
   };
   const ErrorMessage hosted = probe("job-a");     // hosted here

@@ -149,8 +149,8 @@ TEST(Messages, SubmitAckRejectsUnknownReasonByte) {
 
 TEST(Messages, PeekTypeRejectsGarbage) {
   EXPECT_THROW(peek_type({}), ProtocolError);
-  EXPECT_THROW(peek_type({0}), ProtocolError);
-  EXPECT_THROW(peek_type({200}), ProtocolError);
+  EXPECT_THROW(peek_type(std::vector<std::uint8_t>{0}), ProtocolError);
+  EXPECT_THROW(peek_type(std::vector<std::uint8_t>{200}), ProtocolError);
 }
 
 TEST(Messages, DecodeWrongTypeThrows) {

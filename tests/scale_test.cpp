@@ -106,7 +106,8 @@ class RawSite {
     const std::vector<std::uint8_t> secret = cred_.secret;
     dispatch_(sealed_frame, [prom, secret](std::vector<std::uint8_t> resp) {
       try {
-        prom->set_value(open(resp, secret).payload);
+        const std::span<const std::uint8_t> payload = open(resp, secret).payload;
+        prom->set_value({payload.begin(), payload.end()});
       } catch (...) {
         prom->set_exception(std::current_exception());
       }

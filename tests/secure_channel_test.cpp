@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/error.h"
+#include "core/sha256.h"
 
 namespace cppflare::flare {
 namespace {
@@ -16,7 +17,8 @@ TEST(SecureChannel, SealOpenRoundTrip) {
   const Envelope env = open(sealed, key_a());
   EXPECT_EQ(env.sender, "site-1");
   EXPECT_EQ(env.sequence, 7u);
-  EXPECT_EQ(env.payload, payload);
+  EXPECT_EQ(std::vector<std::uint8_t>(env.payload.begin(), env.payload.end()),
+            payload);
 }
 
 TEST(SecureChannel, EmptyPayloadAllowed) {
@@ -57,7 +59,8 @@ TEST(SecureChannel, TamperedSenderDetected) {
 }
 
 TEST(SecureChannel, MalformedEnvelopeRejected) {
-  EXPECT_THROW(open({1, 2, 3}, key_a()), Error);
+  const std::vector<std::uint8_t> stub = {1, 2, 3};
+  EXPECT_THROW(open(stub, key_a()), Error);
   std::vector<std::uint8_t> bad(64, 0);
   EXPECT_THROW(open(bad, key_a()), ProtocolError);
 }
@@ -71,7 +74,54 @@ TEST(SecureChannel, TrailingBytesRejected) {
 TEST(SecureChannel, PeekSenderWithoutKey) {
   const auto sealed = seal("site-42", key_a(), 3, {1});
   EXPECT_EQ(peek_sender(sealed), "site-42");
-  EXPECT_THROW(peek_sender({0, 0, 0, 0}), ProtocolError);
+  EXPECT_THROW(peek_sender(std::vector<std::uint8_t>{0, 0, 0, 0}), ProtocolError);
+}
+
+TEST(SecureChannel, SealedBytesArePinned) {
+  // The frame layout and MAC are a wire contract: these digests were taken
+  // from the seal() output before seal/open were rewritten over spans, and
+  // any implementation must reproduce them byte for byte.
+  std::vector<std::uint8_t> payload(1u << 20);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 131 + (i >> 9));
+  }
+  const auto sealed = seal("site-3", key_a(), 42, payload, "job-golden");
+  EXPECT_EQ(sealed.size(), 1048652u);
+  EXPECT_EQ(core::to_hex(core::Sha256::hash(sealed.data(), sealed.size())),
+            "5d4e3405451b43d1886afb354dea65765d3404a0408ceca34f9c38ddd557ef2e");
+  const auto empty = seal("site-3", key_a(), 42, {});
+  EXPECT_EQ(empty.size(), 66u);
+  EXPECT_EQ(core::to_hex(core::Sha256::hash(empty.data(), empty.size())),
+            "d2498639851f9bd77a593c299eb4421d2d8d8538dbce06214cabf7d49a7da9ab");
+}
+
+TEST(SecureChannel, EveryBitFlipIsRejected) {
+  // Header, payload and MAC alike: no single-bit change survives open.
+  const auto sealed = seal("site-1", key_a(), 5, {1, 2, 3, 4, 5, 6, 7, 8}, "job");
+  ASSERT_NO_THROW(open(sealed, key_a()));
+  for (std::size_t bit = 0; bit < sealed.size() * 8; ++bit) {
+    auto flipped = sealed;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_THROW(open(flipped, key_a()), Error) << "bit " << bit;
+  }
+}
+
+TEST(SecureChannel, EveryTruncationIsRejected) {
+  const auto sealed = seal("site-1", key_a(), 5, {1, 2, 3, 4, 5, 6, 7, 8}, "job");
+  for (std::size_t len = 0; len < sealed.size(); ++len) {
+    const std::vector<std::uint8_t> cut(sealed.begin(),
+                                        sealed.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(open(cut, key_a()), Error) << "length " << len;
+  }
+}
+
+TEST(SecureChannel, OpenedPayloadViewsTheSealedBuffer) {
+  const std::vector<std::uint8_t> payload(4096, 0x5c);
+  const auto sealed = seal("site-1", key_a(), 9, payload, "job");
+  const Envelope env = open(sealed, key_a());
+  ASSERT_EQ(env.payload.size(), payload.size());
+  EXPECT_GE(env.payload.data(), sealed.data());
+  EXPECT_LE(env.payload.data() + env.payload.size(), sealed.data() + sealed.size());
 }
 
 TEST(SequenceTrackerTest, EnforcesMonotonicity) {

@@ -7,6 +7,7 @@
 
 #include "core/logging.h"
 #include "flare/client.h"
+#include "flare/observability.h"
 #include "flare/server.h"
 #include "test_util.h"
 
@@ -108,6 +109,60 @@ TEST_F(ServerClientTest, TwoClientsCompleteAllRounds) {
   EXPECT_EQ(history[0].total_samples, 400);
 }
 
+/// Records the global weights each round's task carried.
+class RecordingLearner : public Learner {
+ public:
+  explicit RecordingLearner(std::string site) : site_(std::move(site)) {}
+
+  Dxo train(const Dxo& global, const FLContext&) override {
+    seen_.push_back(global.data().at("w").values);
+    Dxo update(DxoKind::kWeights, dict_of({static_cast<float>(seen_.size()), 0.0f}));
+    update.set_meta_int(Dxo::kMetaNumSamples, 1);
+    return update;
+  }
+  std::string site_name() const override { return site_; }
+
+  std::vector<std::vector<float>> seen_;
+
+ private:
+  std::string site_;
+};
+
+TEST_F(ServerClientTest, BroadcastIsEncodedOncePerRound) {
+  // Every site polling in a round gets the same kTrain body, so the server
+  // packs it once per round, not once per site.
+  registry_ = Provisioner("test-project", 11).provision_sites(4);
+  ServerConfig config;
+  config.job_id = "test-project";
+  config.num_rounds = 3;
+  config.min_clients = 4;
+  config.expected_clients = 4;
+  FederatedServer server(config, registry_, dict_of({0.0f, 0.0f}),
+                         std::make_unique<FedAvgAggregator>(true));
+  std::vector<std::shared_ptr<RecordingLearner>> learners;
+  std::vector<std::unique_ptr<FederatedClient>> clients;
+  for (int i = 1; i <= 4; ++i) {
+    const std::string name = "site-" + std::to_string(i);
+    learners.push_back(std::make_shared<RecordingLearner>(name));
+    clients.push_back(make_client(server, name, learners.back()));
+  }
+  std::vector<std::thread> threads;
+  for (auto& client : clients) threads.emplace_back([&client] { client->run(); });
+  for (auto& t : threads) t.join();
+
+  ASSERT_TRUE(server.finished());
+  EXPECT_EQ(server.metrics_snapshot().counters.at(
+                metric_names::kServerTaskEncodes),
+            3);
+  // The shared body still follows the model: every site saw each round's
+  // fresh global (sites submit round+1 with one sample each, so the mean
+  // after round r is r+1).
+  for (const auto& learner : learners) {
+    EXPECT_EQ(learner->seen_, (std::vector<std::vector<float>>{
+                                  {0.0f, 0.0f}, {1.0f, 0.0f}, {2.0f, 0.0f}}));
+  }
+}
+
 TEST_F(ServerClientTest, BadTokenRejected) {
   auto server = make_server(1);
   Credential bad = registry_.at("site-1");
@@ -151,7 +206,8 @@ TEST_F(ServerClientTest, GetTaskWithoutSessionFails) {
   ManualFederation fed(registry_, server->async_dispatcher());
   const Credential& cred = registry_.at("site-1");
   const auto sealed = seal(cred.name, cred.secret, 1, pack(GetTaskRequest{"bogus"}));
-  const Envelope env = open(fed.exchange(sealed), cred.secret);
+  const auto response = fed.exchange(sealed);
+  const Envelope env = open(response, cred.secret);
   EXPECT_EQ(peek_type(env.payload), MsgType::kError);
 }
 
@@ -195,9 +251,11 @@ TEST_F(ServerClientTest, ReplayedEnvelopeRejected) {
   const Credential& c1 = registry_.at("site-1");
   const auto sealed = seal(c1.name, c1.secret, 1,
                            pack(RegisterRequest{c1.name, c1.token}));
-  const Envelope first = open(fed.exchange(sealed), c1.secret);
+  const auto first_response = fed.exchange(sealed);
+  const Envelope first = open(first_response, c1.secret);
   EXPECT_EQ(peek_type(first.payload), MsgType::kRegisterAck);
-  const Envelope replay = open(fed.exchange(sealed), c1.secret);
+  const auto replay_response = fed.exchange(sealed);
+  const Envelope replay = open(replay_response, c1.secret);
   EXPECT_EQ(peek_type(replay.payload), MsgType::kError);
 }
 

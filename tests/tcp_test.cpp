@@ -5,6 +5,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -146,6 +147,31 @@ TEST(Tcp, OversizedEnvelopeRefusedBeforePayloadRead) {
   EXPECT_EQ(again.call({1, 2}), (std::vector<std::uint8_t>{1, 2}));
 }
 
+/// A plain blocking socket to `port`, for driving the server byte by byte.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // A reply that never comes fails the test instead of hanging it.
+  const timeval limit{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  return fd;
+}
+
+/// The u32-LE length prefix followed by `payload`.
+std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& payload) {
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  std::vector<std::uint8_t> out;
+  out.reserve(4 + payload.size());
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
 TEST(Tcp, HostileLengthPrefixNeverReachesTheAllocator) {
   // Even a caller-supplied cap above the global bound is clamped to
   // kMaxFrameBytes: a hand-crafted ~4 GiB announcement gets the connection
@@ -153,13 +179,7 @@ TEST(Tcp, HostileLengthPrefixNeverReachesTheAllocator) {
   TcpServerOptions options;
   options.max_frame_bytes = 0xffffffff;
   TcpServer server(0, echo, options);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const int fd = raw_connect(server.port());
   const std::uint8_t hostile_header[4] = {0xf0, 0xff, 0xff, 0xff};  // ~4 GiB
   ASSERT_EQ(::send(fd, hostile_header, 4, MSG_NOSIGNAL), 4);
   // The server must close without ever sending a response frame.
@@ -169,6 +189,47 @@ TEST(Tcp, HostileLengthPrefixNeverReachesTheAllocator) {
   // And keep serving honest clients.
   TcpConnection conn("127.0.0.1", server.port());
   EXPECT_EQ(conn.call({3}), (std::vector<std::uint8_t>{3}));
+}
+
+TEST(Tcp, FrameDribbledOneByteAtATime) {
+  TcpServer server(0, echo);
+  const int fd = raw_connect(server.port());
+  std::vector<std::uint8_t> payload(40);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i * 7);
+  for (const std::uint8_t byte : framed(payload)) {
+    ASSERT_EQ(::send(fd, &byte, 1, MSG_NOSIGNAL), 1);
+    // Give the reactor time to read each byte on its own, so partial
+    // prefixes and partial payloads are really exercised.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(read_frame(fd), payload);
+  ::close(fd);
+}
+
+TEST(Tcp, CoalescedFramesAreServedInOrder) {
+  // Two frames (one of them empty) plus the first half of a third arrive in
+  // a single send; the tail of the third follows later. One worker keeps
+  // the replies in request order.
+  TcpServerOptions options;
+  options.worker_threads = 1;
+  TcpServer server(0, echo, options);
+  const int fd = raw_connect(server.port());
+  const std::vector<std::uint8_t> first = {1, 2, 3};
+  const std::vector<std::uint8_t> second;
+  const std::vector<std::uint8_t> third(5000, 9);
+  std::vector<std::uint8_t> wire = framed(first);
+  const std::vector<std::uint8_t> wire2 = framed(second);
+  const std::vector<std::uint8_t> wire3 = framed(third);
+  wire.insert(wire.end(), wire2.begin(), wire2.end());
+  wire.insert(wire.end(), wire3.begin(), wire3.begin() + 2500);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  EXPECT_EQ(read_frame(fd), first);
+  EXPECT_EQ(read_frame(fd), second);
+  ASSERT_EQ(::send(fd, wire3.data() + 2500, wire3.size() - 2500, MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire3.size() - 2500));
+  EXPECT_EQ(read_frame(fd), third);
+  ::close(fd);
 }
 
 TEST(Tcp, SilentPeerReleasesHandlerThread) {

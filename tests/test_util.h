@@ -199,10 +199,11 @@ class ManualFederation {
   std::vector<std::uint8_t> call(const std::string& site,
                                  const std::vector<std::uint8_t>& frame) {
     const flare::Credential& cred = registry_.at(site);
-    return flare::open(exchange(flare::seal(cred.name, cred.secret,
-                                            seq_[site].next(), frame, job_id_)),
-                       cred.secret)
-        .payload;
+    const std::vector<std::uint8_t> reply = exchange(
+        flare::seal(cred.name, cred.secret, seq_[site].next(), frame, job_id_));
+    const std::span<const std::uint8_t> payload =
+        flare::open(reply, cred.secret).payload;
+    return {payload.begin(), payload.end()};
   }
 
   std::string register_site(const std::string& site) {

@@ -105,6 +105,7 @@ class RuleRunner {
     r13_durable_writes_only();
     r14_server_via_job_runner();
     r15_one_request_path();
+    r16_isa_code_contained();
   }
 
  private:
@@ -677,6 +678,46 @@ class RuleRunner {
     }
   }
 
+  // R16: ISA-specific code lives only in runtime-dispatched translation
+  // units. The release flags pin x86-64-v3 because a virtualized host that
+  // advertises AVX-512 miscompiled (CMakeLists.txt); code that needs more
+  // than the baseline ISA must check the CPU at run time and keep a portable
+  // fallback, which today only src/core/sha256*.cpp does. Intrinsic headers,
+  // target attributes and CPU feature probes anywhere else are flagged.
+  void r16_isa_code_contained() {
+    if (starts_with(path_, "src/core/sha256") && ends_with(path_, ".cpp")) {
+      return;
+    }
+    for (std::size_t i = 0; i < toks_.size(); ++i) {
+      const Token& t = toks_[i];
+      if (t.kind == TokKind::kPreproc) {
+        if (contains(t.text, "include") && contains(t.text, "intrin.h")) {
+          flag(16, t, "x86 intrinsics header outside src/core/sha256*.cpp; "
+                      "ISA-specific code stays in runtime-dispatched units");
+        }
+        continue;
+      }
+      if (t.kind != TokKind::kIdent) continue;
+      if (t.text == "__builtin_cpu_supports" || t.text == "__builtin_cpu_is") {
+        flag(16, t, "'" + t.text + "' outside src/core/sha256*.cpp; the CPU "
+                    "is probed only where the runtime dispatch lives");
+        continue;
+      }
+      // __attribute__((target(...))) and [[gnu::target(...)]]
+      const bool gnu_attr = t.text == "__attribute__" && i + 3 < toks_.size() &&
+                            is_punct(toks_[i + 1], "(") &&
+                            is_punct(toks_[i + 2], "(") &&
+                            is_ident(toks_[i + 3], "target");
+      const bool std_attr = t.text == "gnu" && i + 2 < toks_.size() &&
+                            is_punct(toks_[i + 1], "::") &&
+                            is_ident(toks_[i + 2], "target");
+      if (gnu_attr || std_attr) {
+        flag(16, t, "target attribute outside src/core/sha256*.cpp; "
+                    "ISA-specific code stays in runtime-dispatched units");
+      }
+    }
+  }
+
   const std::string& path_;
   const std::vector<Token>& toks_;
   const std::map<int, std::set<int>>& exemptions_;
@@ -747,6 +788,9 @@ const char* rule_summary(int rule) {
     case 15: return "one request path: no synchronous Dispatcher/"
                     "InProcConnection/make_async, and frames are sealed only "
                     "by the channel, server, job router and ClientSession";
+    case 16: return "ISA-specific code (intrinsics headers, target attributes, "
+                    "CPU feature probes) only in runtime-dispatched "
+                    "src/core/sha256*.cpp";
     default: return "";
   }
 }

@@ -1,6 +1,6 @@
 // cflint rule engine: scope-aware reimplementation of the repo lint rules
 // R1-R8 plus the concurrency/determinism rules R9-R11 that a grep pipeline
-// cannot express, and the containment rules R12-R15. See scripts/lint.sh (thin wrapper) and DESIGN.md §12 for
+// cannot express, and the containment rules R12-R16. See scripts/lint.sh (thin wrapper) and DESIGN.md §12 for
 // the rule catalog and rationale.
 #pragma once
 

@@ -278,6 +278,29 @@ const std::vector<Case>& cases() {
        "// R15-exempt: fixture proves the exemption path\n"
        "Bytes f(const Credential& c) { return seal(c.name, c.secret, 1, b); }\n",
        {}},
+
+      {"R16 ISA-specific code outside the dispatched unit", "src/tensor/fast.cpp",
+       "// __builtin_cpu_supports in a comment is fine\n"
+       "#include <immintrin.h>\n"
+       "__attribute__((target(\"avx512f\"))) void f() {}\n"
+       "bool g() { return __builtin_cpu_supports(\"avx512f\"); }\n"
+       "[[gnu::target(\"sha\")]] void h() {}\n"
+       "__attribute__((unused)) static int k = 0;\n"
+       "const char* s = \"__attribute__((target\";\n",
+       {{16, 2}, {16, 3}, {16, 4}, {16, 5}}},
+      {"R16 runtime-dispatched SHA-256 allowed", "src/core/sha256.cpp",
+       "#include <immintrin.h>\n"
+       "__attribute__((target(\"sha\"))) void f() {}\n"
+       "bool g() { return __builtin_cpu_supports(\"sha\"); }\n",
+       {}},
+      {"R16 headers are not dispatched units", "src/core/sha256_blocks.h",
+       "#pragma once\n"
+       "#include <immintrin.h>\n",
+       {{16, 2}}},
+      {"R16 exempt", "src/tensor/exempt_isa.cpp",
+       "// R16-exempt: fixture proves the exemption path\n"
+       "bool g() { return __builtin_cpu_supports(\"sha\"); }\n",
+       {}},
   };
   return kCases;
 }
