@@ -1,9 +1,19 @@
 // Microbenchmarks for the tensor/NN substrate (google-benchmark).
 //
 // The GEMM and model benches take the compute-thread budget as their last
-// range argument, so one run sweeps 1..N threads and `scripts/bench.sh` can
-// record the scaling curve in a single JSON file.
+// argument, so one run sweeps 1..N threads and `scripts/bench.sh` can record
+// the scaling curve in a single JSON file. Every case with a budget reports
+// wall time (UseRealTime): with helper threads, main-thread CPU time would
+// overstate throughput. The context block records the ISA the kernels were
+// compiled for, the host's SIMD flags and its hardware thread count.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/parallel.h"
 #include "models/lstm_classifier.h"
@@ -17,63 +27,96 @@ namespace {
 using namespace cppflare;
 using tensor::Tensor;
 
-void set_threads_from_arg(benchmark::State& state) {
-  core::set_compute_threads(static_cast<std::size_t>(state.range(1)));
+void set_threads_from_arg(benchmark::State& state, int arg) {
+  core::set_compute_threads(static_cast<std::size_t>(state.range(arg)));
 }
 
-void BM_GemmNN(benchmark::State& state) {
-  set_threads_from_arg(state);
-  const std::int64_t n = state.range(0);
-  std::vector<float> a(512 * 128), b(128 * n), c(512 * n);
-  for (auto& x : a) x = 0.5f;
-  for (auto& x : b) x = 0.25f;
-  for (auto _ : state) {
-    tensor::gemm_nn(a.data(), b.data(), c.data(), 512, 128, n);
-    benchmark::DoNotOptimize(c.data());
+// Host SIMD flags from /proc/cpuinfo (the first "flags" line), restricted to
+// the ones that decide GEMM throughput.
+std::string host_simd_flags() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string out;
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("flags", 0) != 0) continue;
+    std::istringstream words(line.substr(line.find(':') + 1));
+    for (std::string w; words >> w;) {
+      if (w != "avx2" && w != "fma" && w != "avx512f") continue;
+      if (!out.empty()) out += ' ';
+      out += w;
+    }
+    break;
   }
-  state.SetItemsProcessed(state.iterations() * 2 * 512 * 128 * n);
+  return out.empty() ? "none" : out;
 }
-BENCHMARK(BM_GemmNN)
-    ->Args({128, 1})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->Args({512, 4});
 
-void BM_GemmNT(benchmark::State& state) {
-  set_threads_from_arg(state);
-  const std::int64_t n = state.range(0);
-  std::vector<float> a(512 * 128), b(n * 128), c(512 * n);
-  for (auto& x : a) x = 0.5f;
-  for (auto& x : b) x = 0.25f;
-  for (auto _ : state) {
-    tensor::gemm_nt(a.data(), b.data(), c.data(), 512, 128, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * 512 * 128 * n);
-}
-BENCHMARK(BM_GemmNT)
-    ->Args({128, 1})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->Args({512, 4});
+const bool kContext = [] {
+#if defined(__AVX2__) && defined(__FMA__)
+  benchmark::AddCustomContext("kernel_isa", "avx2+fma (x86-64-v3)");
+#else
+  benchmark::AddCustomContext("kernel_isa", "x86-64 baseline (sse2)");
+#endif
+  benchmark::AddCustomContext("host_simd_flags", host_simd_flags());
+  benchmark::AddCustomContext("hardware_concurrency",
+                              std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("compute_budget",
+                              "last benchmark argument (threads per case)");
+  return true;
+}();
 
-void BM_GemmTN(benchmark::State& state) {
-  set_threads_from_arg(state);
-  const std::int64_t n = state.range(0);
-  std::vector<float> a(512 * 128), b(512 * n), c(128 * n);
-  for (auto& x : a) x = 0.5f;
-  for (auto& x : b) x = 0.25f;
+using GemmFn = void (*)(const float*, const float*, float*, std::int64_t,
+                        std::int64_t, std::int64_t);
+
+// One kernel call per iteration on operands sized for any of the three
+// layouts; items are flops (2*m*k*n).
+void run_gemm(benchmark::State& state, GemmFn gemm, std::int64_t m,
+              std::int64_t k, std::int64_t n) {
+  const std::int64_t rows = std::max(m, k);
+  std::vector<float> a(m * k, 0.5f), b(rows * n, 0.25f), c(rows * n, 0.0f);
   for (auto _ : state) {
-    tensor::gemm_tn(a.data(), b.data(), c.data(), 512, 128, n);
+    gemm(a.data(), b.data(), c.data(), m, k, n);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 2 * 512 * 128 * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_GemmTN)
-    ->Args({128, 1})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->Args({512, 4});
+
+// 512 x 128 x N, budget last.
+template <GemmFn kGemm>
+void BM_Gemm(benchmark::State& state) {
+  set_threads_from_arg(state, 1);
+  run_gemm(state, kGemm, 512, 128, state.range(0));
+}
+
+// The models' real shapes, m/k/n/budget: BERT-mini's linear layers at
+// batch 48 x seq 32 (hidden 50, ffn 200), one attention head's product
+// (seq 32, head dim 25) and one LSTM gate block (batch 16, hidden 128).
+template <GemmFn kGemm>
+void BM_GemmShape(benchmark::State& state) {
+  set_threads_from_arg(state, 3);
+  run_gemm(state, kGemm, state.range(0), state.range(1), state.range(2));
+}
+
+void gemm_args(benchmark::internal::Benchmark* b) {
+  b->Args({128, 1})->Args({512, 1})->Args({512, 2})->Args({512, 4})->UseRealTime();
+}
+
+void gemm_shape_args(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t budget : {1, 4}) {
+    b->Args({1536, 50, 50, budget})
+        ->Args({1536, 50, 200, budget})
+        ->Args({1536, 200, 50, budget})
+        ->Args({32, 25, 32, budget})
+        ->Args({16, 128, 512, budget});
+  }
+  b->UseRealTime();
+}
+
+BENCHMARK_TEMPLATE(BM_Gemm, tensor::gemm_nn)->Name("BM_GemmNN")->Apply(gemm_args);
+BENCHMARK_TEMPLATE(BM_GemmShape, tensor::gemm_nn)->Name("BM_GemmNN")->Apply(gemm_shape_args);
+BENCHMARK_TEMPLATE(BM_Gemm, tensor::gemm_nt)->Name("BM_GemmNT")->Apply(gemm_args);
+BENCHMARK_TEMPLATE(BM_GemmShape, tensor::gemm_nt)->Name("BM_GemmNT")->Apply(gemm_shape_args);
+BENCHMARK_TEMPLATE(BM_Gemm, tensor::gemm_tn)->Name("BM_GemmTN")->Apply(gemm_args);
+BENCHMARK_TEMPLATE(BM_GemmShape, tensor::gemm_tn)->Name("BM_GemmTN")->Apply(gemm_shape_args);
 
 void BM_SoftmaxLastdim(benchmark::State& state) {
   core::Rng rng(1);
@@ -100,7 +143,7 @@ void BM_LayerNorm(benchmark::State& state) {
 BENCHMARK(BM_LayerNorm);
 
 void BM_AttentionForward(benchmark::State& state) {
-  core::set_compute_threads(static_cast<std::size_t>(state.range(0)));
+  set_threads_from_arg(state, 0);
   core::Rng rng(3);
   nn::MultiHeadSelfAttention attn(128, 6, 22, 0.0f, rng);
   attn.set_training(false);
@@ -112,10 +155,10 @@ void BM_AttentionForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_AttentionForward)->Arg(1)->Arg(4);
+BENCHMARK(BM_AttentionForward)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_LstmForward(benchmark::State& state) {
-  core::set_compute_threads(static_cast<std::size_t>(state.range(0)));
+  set_threads_from_arg(state, 0);
   core::Rng rng(5);
   nn::Lstm lstm(128, 128, 3, 0.0f, rng);
   lstm.set_training(false);
@@ -127,7 +170,7 @@ void BM_LstmForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_LstmForward)->Arg(1)->Arg(4);
+BENCHMARK(BM_LstmForward)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_EmbeddingLookup(benchmark::State& state) {
   core::Rng rng(7);
@@ -156,7 +199,7 @@ void BM_CrossEntropy(benchmark::State& state) {
 BENCHMARK(BM_CrossEntropy);
 
 void BM_BertMiniTrainStep(benchmark::State& state) {
-  core::set_compute_threads(static_cast<std::size_t>(state.range(0)));
+  set_threads_from_arg(state, 0);
   core::Rng rng(9);
   models::ModelConfig config = models::ModelConfig::bert_mini(400, 32);
   auto model = models::make_classifier(config, rng);
@@ -178,6 +221,6 @@ void BM_BertMiniTrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(loss.item());
   }
 }
-BENCHMARK(BM_BertMiniTrainStep)->Arg(1)->Arg(4);
+BENCHMARK(BM_BertMiniTrainStep)->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace

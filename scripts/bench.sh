@@ -4,10 +4,13 @@
 # asserting it.
 #
 #   BENCH_tensor.json — google-benchmark output of bench_micro_tensor. The
-#       GEMM benches carry the thread budget as their second argument
-#       (e.g. BM_GemmNN/512/4 = N=512 at 4 compute threads), so one run
-#       captures the 1..4-thread scaling curve: items_per_second is the
-#       ops/s figure, real_time the wall time per iteration.
+#       GEMM benches carry the thread budget as their last argument
+#       (BM_GemmNN/512/4 = 512x128x512 at 4 compute threads;
+#       BM_GemmNN/1536/50/200/1 = the m/k/n of a BERT-mini layer at 1), so
+#       one run captures the 1..4-thread scaling curve: items_per_second
+#       is flops per second of wall time, real_time the wall time per
+#       iteration. The context block records the kernels' ISA, the host's
+#       SIMD flags and its hardware thread count.
 #   BENCH_models.json — bench_table2_models latencies per model plus the
 #       effective thread budget and total wall seconds.
 #   BENCH_faults.json — bench_faults rounds/s of an 8-site TCP federation

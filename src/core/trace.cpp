@@ -179,6 +179,21 @@ ScopedSpan::~ScopedSpan() {
 }
 
 // ---------------------------------------------------------------------------
+// ScopedHistogramTimer
+// ---------------------------------------------------------------------------
+
+ScopedHistogramTimer::ScopedHistogramTimer(Histogram& hist) {
+  const Tracer& tracer = Tracer::instance();
+  if (!tracer.enabled()) return;
+  hist_ = &hist;
+  start_ns_ = tracer.now_ns();
+}
+
+ScopedHistogramTimer::~ScopedHistogramTimer() {
+  if (hist_ != nullptr) hist_->record(Tracer::instance().now_ns() - start_ns_);
+}
+
+// ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
 

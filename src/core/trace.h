@@ -240,6 +240,23 @@ class Histogram {
   std::atomic<std::int64_t> max_{0};
 };
 
+/// RAII wall-clock sample into `hist`, taken only while the tracer is armed.
+/// For per-kernel timing (GEMMs, parallel regions): thousands of calls per
+/// train step would flood the span ring and evict the round-level spans, so
+/// they land in a histogram instead. Disarmed cost: one relaxed load.
+class ScopedHistogramTimer {
+ public:
+  explicit ScopedHistogramTimer(Histogram& hist);
+  ~ScopedHistogramTimer();
+
+  ScopedHistogramTimer(const ScopedHistogramTimer&) = delete;
+  ScopedHistogramTimer& operator=(const ScopedHistogramTimer&) = delete;
+
+ private:
+  Histogram* hist_ = nullptr;  // null = inactive (tracer was disabled at entry)
+  std::int64_t start_ns_ = 0;
+};
+
 /// Point-in-time copy of every metric in a registry.
 struct MetricSnapshot {
   std::map<std::string, std::int64_t> counters;
@@ -289,5 +306,22 @@ class MetricRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       CF_GUARDED_BY(mu_);
 };
+
+/// Times the rest of the enclosing block into the process-wide histogram
+/// `name` (nanoseconds) while the tracer is armed; compiled out with the
+/// spans under CPPFLARE_DISABLE_TRACING. `name` must be a literal: the
+/// histogram is looked up once per call site.
+#if defined(CPPFLARE_DISABLE_TRACING)
+#define CF_TRACE_HISTOGRAM(name) \
+  do {                           \
+  } while (0)
+#else
+#define CF_TRACE_HISTOGRAM(name)                                         \
+  static ::cppflare::core::Histogram& CF_TRACE_CONCAT(cf_hist_, __LINE__) = \
+      ::cppflare::core::MetricRegistry::instance().histogram(name);        \
+  ::cppflare::core::ScopedHistogramTimer CF_TRACE_CONCAT(cf_hist_timer_,   \
+                                                         __LINE__)(       \
+      CF_TRACE_CONCAT(cf_hist_, __LINE__))
+#endif
 
 }  // namespace cppflare::core

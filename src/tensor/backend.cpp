@@ -33,9 +33,9 @@ void parallel_rows(std::int64_t items, std::int64_t work_per_item,
     fn(0, items);
     return;
   }
-  // Only the parallel branch is traced: the serial-inline path handles tiny
+  // Only the parallel branch is timed: the serial-inline path handles tiny
   // ops far too frequent to record usefully.
-  CF_TRACE_SPAN("tensor.parallel_rows");
+  CF_TRACE_HISTOGRAM("tensor.parallel_rows_ns");
   core::parallel_for(0, items, grain_for(items, work_per_item), fn);
 }
 

@@ -200,6 +200,15 @@ SchemeResult run_standalone(const std::string& model_name,
   return result;
 }
 
+std::shared_ptr<flare::GaussianPrivacyFilter> make_site_privacy_filter(
+    double sigma, std::uint64_t seed, const std::string& site) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a, 64-bit
+  for (const char ch : site) {
+    hash = (hash ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+  }
+  return std::make_shared<flare::GaussianPrivacyFilter>(sigma, seed ^ hash);
+}
+
 SchemeResult run_federated(const std::string& model_name,
                            const ClassificationData& data,
                            const ExperimentScale& scale,
@@ -245,8 +254,8 @@ SchemeResult run_federated(const std::string& model_name,
 
   if (options.dp_sigma > 0.0) {
     runner.set_client_customizer([&](flare::FederatedClient& client) {
-      client.outbound_filters().add(std::make_shared<flare::GaussianPrivacyFilter>(
-          options.dp_sigma, scale.seed + 60));
+      client.outbound_filters().add(make_site_privacy_filter(
+          options.dp_sigma, scale.seed + 60, client.site_name()));
     });
   }
 

@@ -16,6 +16,7 @@
 #include "data/dataset.h"
 #include "data/partitioner.h"
 #include "flare/aggregator.h"
+#include "flare/filters.h"
 #include "train/clinical_learner.h"
 
 namespace cppflare::train {
@@ -107,6 +108,12 @@ struct FederatedOptions {
   /// the final round's.
   bool select_best = false;
 };
+/// The outbound Gaussian privacy filter run_federated installs on `site`
+/// when dp_sigma > 0. Its seed mixes `seed` with a stable FNV-1a hash of the
+/// site name, so every site draws its own noise and a rerun draws the same.
+std::shared_ptr<flare::GaussianPrivacyFilter> make_site_privacy_filter(
+    double sigma, std::uint64_t seed, const std::string& site);
+
 SchemeResult run_federated(const std::string& model_name,
                            const ClassificationData& data,
                            const ExperimentScale& scale,

@@ -27,6 +27,23 @@ ExperimentScale tiny_scale() {
   return s;
 }
 
+// Each site's privacy filter draws its own noise; a rerun draws it again.
+TEST(SitePrivacyFilter, SitesDifferAndRerunsReproduce) {
+  const auto noised = [](const std::string& site) {
+    nn::StateDict d;
+    d.insert("w", {{64}, std::vector<float>(64, 1.0f)});
+    flare::Dxo dxo(flare::DxoKind::kWeights, d);
+    flare::FLContext ctx;
+    make_site_privacy_filter(0.5, 60, site)->process(dxo, ctx);
+    return dxo.data().at("w").values;
+  };
+  const std::vector<float> site1 = noised("site-1");
+  const std::vector<float> site2 = noised("site-2");
+  EXPECT_NE(site1, site2);
+  EXPECT_EQ(noised("site-1"), site1);
+  EXPECT_EQ(noised("site-2"), site2);
+}
+
 TEST(ExperimentScaleTest, EnvOverridesApply) {
   ::setenv("REPRO_NUM_PATIENTS", "777", 1);
   ::setenv("REPRO_FL_ROUNDS", "13", 1);

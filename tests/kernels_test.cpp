@@ -1,86 +1,164 @@
+// GEMM kernel exactness. gemm_nn and gemm_tn must be memcmp-equal to the
+// cache-blocked loop nests they replaced (kept below verbatim as the
+// reference), and gemm_nt to C + gemm_nn(A, B^T, 0), over a shape table —
+// the models' real shapes plus every m, k, n in 1..17 — from a nonzero C at
+// compute budgets 1 and 4.
 #include "tensor/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/rng.h"
+#include "test_util.h"
 
 namespace cppflare::tensor {
 namespace {
 
-// Reference triple-loop implementations.
-void ref_nn(const std::vector<float>& a, const std::vector<float>& b,
-            std::vector<float>& c, int m, int k, int n) {
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < n; ++j)
-      for (int kk = 0; kk < k; ++kk) c[i * n + j] += a[i * k + kk] * b[kk * n + j];
+using cppflare::testing::expect_bitwise_equal;
+
+// ---- reference: the previous loop nests --------------------------------------
+// Verbatim bodies of the former gemm_nn / gemm_tn, run over the whole output
+// range in one panel (their per-element order never depended on the panel
+// split). Per element: NN starts from C and runs k ascending; TN starts
+// from C and runs i ascending.
+
+constexpr std::int64_t kKc = 128;
+constexpr std::int64_t kMc = 128;
+
+void seed_gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
+                  std::int64_t k, std::int64_t n) {
+  const std::int64_t i0 = 0, i1 = m;
+  for (std::int64_t k0 = 0; k0 < k; k0 += kKc) {
+    const std::int64_t k1 = std::min(k, k0 + kKc);
+    for (std::int64_t i = i0; i < i1; ++i) {
+      float* crow = c + i * n;
+      const float* arow = a + i * k;
+      for (std::int64_t kk = k0; kk < k1; ++kk) {
+        const float aik = arow[kk];
+        const float* brow = b + kk * n;
+        for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+      }
+    }
+  }
 }
 
-void ref_nt(const std::vector<float>& a, const std::vector<float>& b,
-            std::vector<float>& c, int m, int k, int n) {
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < n; ++j)
-      for (int kk = 0; kk < k; ++kk) c[i * n + j] += a[i * k + kk] * b[j * k + kk];
+void seed_gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
+                  std::int64_t k, std::int64_t n) {
+  const std::int64_t kk0 = 0, kk1 = k;
+  for (std::int64_t m0 = 0; m0 < m; m0 += kMc) {
+    const std::int64_t m1 = std::min(m, m0 + kMc);
+    for (std::int64_t i = m0; i < m1; ++i) {
+      const float* arow = a + i * k;
+      const float* brow = b + i * n;
+      for (std::int64_t kk = kk0; kk < kk1; ++kk) {
+        const float aik = arow[kk];
+        float* crow = c + kk * n;
+        for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+      }
+    }
+  }
 }
 
-void ref_tn(const std::vector<float>& a, const std::vector<float>& b,
-            std::vector<float>& c, int m, int k, int n) {
-  for (int kk = 0; kk < k; ++kk)
-    for (int j = 0; j < n; ++j)
-      for (int i = 0; i < m; ++i) c[kk * n + j] += a[i * k + kk] * b[i * n + j];
-}
+// ---- shape table -------------------------------------------------------------
 
-struct GemmCase {
-  int m, k, n;
+struct Shape {
+  std::int64_t m, k, n;
 };
 
-class GemmParamTest : public ::testing::TestWithParam<GemmCase> {};
-
-TEST_P(GemmParamTest, NnMatchesReference) {
-  const auto [m, k, n] = GetParam();
-  core::Rng rng(m * 10007 + k * 101 + n);
-  std::vector<float> a(m * k), b(k * n), c(m * n, 0.0f), ref(m * n, 0.0f);
-  for (auto& x : a) x = static_cast<float>(rng.normal());
-  for (auto& x : b) x = static_cast<float>(rng.normal());
-  gemm_nn(a.data(), b.data(), c.data(), m, k, n);
-  ref_nn(a, b, ref, m, k, n);
-  for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-3f) << i;
+std::vector<Shape> shape_table() {
+  std::vector<Shape> shapes = {
+      {1536, 50, 50}, {1536, 50, 200}, {1536, 200, 50},  // BERT-mini linears
+      {32, 25, 32},                                      // attention
+      {16, 128, 512},                                    // an LSTM gate
+  };
+  for (std::int64_t m = 1; m <= 17; ++m) {
+    for (std::int64_t k = 1; k <= 17; ++k) {
+      for (std::int64_t n = 1; n <= 17; ++n) shapes.push_back({m, k, n});
+    }
+  }
+  return shapes;
 }
 
-TEST_P(GemmParamTest, NtMatchesReference) {
-  const auto [m, k, n] = GetParam();
-  core::Rng rng(m * 7 + k * 11 + n * 13);
-  std::vector<float> a(m * k), b(n * k), c(m * n, 0.0f), ref(m * n, 0.0f);
-  for (auto& x : a) x = static_cast<float>(rng.normal());
-  for (auto& x : b) x = static_cast<float>(rng.normal());
-  gemm_nt(a.data(), b.data(), c.data(), m, k, n);
-  ref_nt(a, b, ref, m, k, n);
-  for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-3f) << i;
+std::vector<float> randn(std::int64_t count, core::Rng& rng) {
+  std::vector<float> v(static_cast<std::size_t>(count));
+  for (float& x : v) x = static_cast<float>(rng.normal());
+  return v;
 }
 
-TEST_P(GemmParamTest, TnMatchesReference) {
-  const auto [m, k, n] = GetParam();
-  core::Rng rng(m * 3 + k * 5 + n * 17);
-  std::vector<float> a(m * k), b(m * n), c(k * n, 0.0f), ref(k * n, 0.0f);
-  for (auto& x : a) x = static_cast<float>(rng.normal());
-  for (auto& x : b) x = static_cast<float>(rng.normal());
-  gemm_tn(a.data(), b.data(), c.data(), m, k, n);
-  ref_tn(a, b, ref, m, k, n);
-  for (int i = 0; i < k * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-3f) << i;
+// A nonzero initial C, with a signed zero so sign handling is pinned too.
+std::vector<float> initial_c(std::int64_t count, core::Rng& rng) {
+  std::vector<float> c = randn(count, rng);
+  c[0] = -0.0f;
+  return c;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GemmParamTest,
-    ::testing::Values(GemmCase{1, 1, 1}, GemmCase{2, 3, 4}, GemmCase{5, 7, 3},
-                      GemmCase{8, 8, 8}, GemmCase{16, 32, 16}, GemmCase{3, 1, 9},
-                      GemmCase{1, 64, 1}, GemmCase{33, 17, 5},
-                      // n not divisible by 4 exercises the gemm_nt tail.
-                      GemmCase{4, 16, 6}, GemmCase{4, 16, 7}),
-    [](const ::testing::TestParamInfo<GemmCase>& info) {
-      return std::to_string(info.param.m) + "x" + std::to_string(info.param.k) +
-             "x" + std::to_string(info.param.n);
-    });
+std::string label(const char* kernel, const Shape& s, std::size_t budget) {
+  return std::string(kernel) + " " + std::to_string(s.m) + "x" +
+         std::to_string(s.k) + "x" + std::to_string(s.n) + " at budget " +
+         std::to_string(budget);
+}
+
+// Runs `check` over the shape table at budgets 1 and 4, stopping at the
+// first failing shape so a broken kernel reports one case, not thousands.
+template <typename Check>
+void for_each_case(Check&& check) {
+  const std::vector<Shape> shapes = shape_table();
+  for (const std::size_t budget : {std::size_t{1}, std::size_t{4}}) {
+    core::set_compute_threads(budget);
+    for (const Shape& s : shapes) {
+      check(s, budget);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(GemmExact, NnMatchesSeedLoopNest) {
+  for_each_case([](const Shape& s, std::size_t budget) {
+    core::Rng rng(static_cast<std::uint64_t>(s.m * 10007 + s.k * 101 + s.n));
+    const std::vector<float> a = randn(s.m * s.k, rng);
+    const std::vector<float> b = randn(s.k * s.n, rng);
+    std::vector<float> c = initial_c(s.m * s.n, rng);
+    std::vector<float> want = c;
+    gemm_nn(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+    seed_gemm_nn(a.data(), b.data(), want.data(), s.m, s.k, s.n);
+    expect_bitwise_equal(c, want, label("gemm_nn", s, budget));
+  });
+}
+
+TEST(GemmExact, TnMatchesSeedLoopNest) {
+  for_each_case([](const Shape& s, std::size_t budget) {
+    core::Rng rng(static_cast<std::uint64_t>(s.m * 3 + s.k * 5 + s.n * 17));
+    const std::vector<float> a = randn(s.m * s.k, rng);
+    const std::vector<float> b = randn(s.m * s.n, rng);
+    std::vector<float> c = initial_c(s.k * s.n, rng);
+    std::vector<float> want = c;
+    gemm_tn(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+    seed_gemm_tn(a.data(), b.data(), want.data(), s.m, s.k, s.n);
+    expect_bitwise_equal(c, want, label("gemm_tn", s, budget));
+  });
+}
+
+TEST(GemmExact, NtIsCPlusNnOnTransposedB) {
+  for_each_case([](const Shape& s, std::size_t budget) {
+    core::Rng rng(static_cast<std::uint64_t>(s.m * 7 + s.k * 11 + s.n * 13));
+    const std::vector<float> a = randn(s.m * s.k, rng);
+    const std::vector<float> b = randn(s.n * s.k, rng);
+    std::vector<float> c = initial_c(s.m * s.n, rng);
+    std::vector<float> bt(b.size());
+    for (std::int64_t j = 0; j < s.n; ++j) {
+      for (std::int64_t p = 0; p < s.k; ++p) bt[p * s.n + j] = b[j * s.k + p];
+    }
+    std::vector<float> want(c.size(), 0.0f);
+    gemm_nn(a.data(), bt.data(), want.data(), s.m, s.k, s.n);
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] = c[i] + want[i];
+    gemm_nt(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+    expect_bitwise_equal(c, want, label("gemm_nt", s, budget));
+  });
+}
 
 TEST(GemmAccumulate, AddsToExistingValues) {
   std::vector<float> a = {1, 0, 0, 1};  // 2x2 identity

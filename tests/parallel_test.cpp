@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -20,10 +19,12 @@
 #include "optim/optimizer.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 namespace cppflare {
 namespace {
 
+using cppflare::testing::expect_bitwise_equal;
 using tensor::Tensor;
 
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
@@ -128,13 +129,6 @@ TEST(ComputeThreads, SetGetAndValidation) {
 // ---- bitwise determinism: 1 thread vs N threads ----------------------------
 
 std::vector<float> snapshot(const Tensor& t) { return t.vec(); }
-
-void expect_bitwise_equal(const std::vector<float>& a,
-                          const std::vector<float>& b, const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
-      << what << " differs between thread budgets";
-}
 
 struct FwdBwd {
   std::vector<float> out;
@@ -249,12 +243,8 @@ TEST(Determinism, TrainingStateDictBitwise1vs4) {
   const nn::StateDict parallel = train(4);
   ASSERT_TRUE(serial.congruent_with(parallel));
   for (const auto& [name, blob] : serial.entries()) {
-    const auto& other = parallel.at(name).values;
-    ASSERT_EQ(blob.values.size(), other.size());
-    EXPECT_EQ(std::memcmp(blob.values.data(), other.data(),
-                          other.size() * sizeof(float)),
-              0)
-        << "parameter " << name << " differs between thread budgets";
+    expect_bitwise_equal(parallel.at(name).values, blob.values,
+                         "parameter " + name);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -79,6 +80,32 @@ inline void expect_tensor_eq(const tensor::Tensor& got,
   ASSERT_EQ(static_cast<std::size_t>(got.numel()), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(got.data()[i], want[i], tol) << "element " << i;
+  }
+}
+
+/// Exact equality of two float buffers: the sizes, then every element's bit
+/// pattern (memcmp semantics, so -0 != +0 and equal NaNs compare equal).
+/// Shaped like Caffe2's assertsTensorEquals, but a mismatch reports only the
+/// first differing index, with both values and their bits in hex.
+inline void expect_bitwise_equal(const std::vector<float>& actual,
+                                 const std::vector<float>& expected,
+                                 const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what << ": sizes differ";
+  if (std::memcmp(actual.data(), expected.data(),
+                  actual.size() * sizeof(float)) == 0) {
+    return;
+  }
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    std::uint32_t got = 0, want = 0;
+    std::memcpy(&got, &actual[i], sizeof(got));
+    std::memcpy(&want, &expected[i], sizeof(want));
+    if (got == want) continue;
+    char bits[64];
+    std::snprintf(bits, sizeof(bits), "0x%08x vs 0x%08x", got, want);
+    ADD_FAILURE() << what << ": first difference at index " << i << " of "
+                  << actual.size() << ": " << actual[i] << " vs " << expected[i]
+                  << " (" << bits << ")";
+    return;
   }
 }
 

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,9 +25,14 @@
 
 #include "core/logging.h"
 #include "core/parallel.h"
+#include "core/rng.h"
 #include "core/trace.h"
+#include "data/dataset.h"
 #include "flare/observability.h"
 #include "flare/simulator.h"
+#include "models/lstm_classifier.h"
+#include "optim/optimizer.h"
+#include "tensor/ops.h"
 #include "test_util.h"
 
 namespace cppflare {
@@ -201,6 +207,80 @@ TEST_F(TraceTest, SpansAreThreadSafeUnderParallelFor) {
   }
   EXPECT_EQ(chunk_events, chunks.load());
   EXPECT_EQ(item_events, 512);
+}
+
+// Per-kernel timing lands in MetricRegistry histograms, not the span ring:
+// thousands of GEMM calls per train step would otherwise evict the
+// round-level spans. The histograms count every call while the tracer is
+// armed and none while it is off.
+TEST_F(TraceTest, KernelTimingGoesToHistogramsNotTheRing) {
+  if (!core::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
+  core::set_compute_threads(4);
+  core::Rng rng(9);
+  const models::ModelConfig config = models::ModelConfig::bert_mini(400, 32);
+  auto model = models::make_classifier(config, rng);
+  optim::Adam opt(model->parameters(), 1e-3f);
+  constexpr std::int64_t kBatch = 8, kSeq = 32;
+  data::Batch batch;
+  batch.batch_size = kBatch;
+  batch.seq_len = kSeq;
+  core::Rng ids_rng(10);
+  for (std::int64_t i = 0; i < kBatch; ++i) {
+    for (std::int64_t t = 0; t < kSeq; ++t) {
+      batch.ids.push_back(ids_rng.uniform_int(5, 399));
+    }
+    batch.lengths.push_back(kSeq);
+    batch.labels.push_back(i % 2);
+  }
+  core::Rng fw(11);
+  const auto train_step = [&] {
+    CF_TRACE_SPAN("test.step");
+    tensor::Tensor loss =
+        tensor::cross_entropy(model->class_logits(batch, fw), batch.labels);
+    opt.zero_grad();
+    loss.backward();
+    opt.step();
+  };
+  const auto counts = [] {
+    const core::MetricSnapshot snap = core::MetricRegistry::instance().snapshot();
+    std::map<std::string, std::int64_t> out;
+    for (const char* name : {"tensor.gemm_nn_ns", "tensor.gemm_nt_ns",
+                             "tensor.gemm_tn_ns", "tensor.parallel_rows_ns"}) {
+      const auto it = snap.histograms.find(name);
+      out[name] = it == snap.histograms.end() ? 0 : it->second.count;
+    }
+    return out;
+  };
+
+  auto before = counts();
+  train_step();  // tracer off: nothing recorded anywhere
+  EXPECT_EQ(counts(), before);
+
+  core::Tracer& tracer = core::Tracer::instance();
+  tracer.start();  // the default ring
+  train_step();
+  tracer.stop();
+  const auto after = counts();
+
+  const auto events = tracer.events();
+  EXPECT_EQ(tracer.dropped(), 0);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "test.step");
+
+  // GEMM calls of one forward + backward: each of the 6 layers has 6
+  // linears (q, k, v, out, ffn in, ffn out) plus the classifier's pooler and
+  // head; a linear is one NT forward and one NN + one TN backward. Each
+  // layer's bmm_nt (scores) and bmm (context) run per batch x head entry:
+  // bmm_nt is NT forward, NN + TN backward; bmm is NN forward, NT + TN
+  // backward. So every kernel runs layers * (6 + 2 * entries) + 2 times.
+  const std::int64_t entries = kBatch * config.heads;
+  const std::int64_t per_kernel = config.layers * (6 + 2 * entries) + 2;
+  for (const char* name :
+       {"tensor.gemm_nn_ns", "tensor.gemm_nt_ns", "tensor.gemm_tn_ns"}) {
+    EXPECT_EQ(after.at(name) - before.at(name), per_kernel) << name;
+  }
+  EXPECT_GT(after.at("tensor.parallel_rows_ns"),
+            before.at("tensor.parallel_rows_ns"));
 }
 
 TEST_F(TraceTest, DrainFollowsBeginEventEndProtocol) {
