@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "core/error.h"
@@ -35,6 +38,47 @@ inline void print_header(const std::string& title,
       static_cast<long long>(scale.max_seq_len),
       static_cast<long long>(scale.num_drugs + scale.num_diagnoses +
                              scale.num_procedures + 2));
+}
+
+/// The host a bench ran on: the ISA the kernels were compiled for, the
+/// host's SIMD flags that decide GEMM throughput (from the first "flags"
+/// line of /proc/cpuinfo) and its hardware thread count. Every BENCH file
+/// records it, so a number can be read against the machine it came from.
+struct HostInfo {
+  std::string kernel_isa;
+  std::string simd_flags;
+  unsigned hardware_concurrency = 0;
+};
+
+inline HostInfo host_info() {
+  HostInfo host;
+#if defined(__AVX2__) && defined(__FMA__)
+  host.kernel_isa = "avx2+fma (x86-64-v3)";
+#else
+  host.kernel_isa = "x86-64 baseline (sse2)";
+#endif
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("flags", 0) != 0) continue;
+    std::istringstream words(line.substr(line.find(':') + 1));
+    for (std::string w; words >> w;) {
+      if (w != "avx2" && w != "fma" && w != "avx512f") continue;
+      if (!host.simd_flags.empty()) host.simd_flags += ' ';
+      host.simd_flags += w;
+    }
+    break;
+  }
+  if (host.simd_flags.empty()) host.simd_flags = "none";
+  host.hardware_concurrency = std::thread::hardware_concurrency();
+  return host;
+}
+
+/// host_info() as a JSON object, for the benches that write their own JSON.
+inline std::string host_json() {
+  const HostInfo host = host_info();
+  return "{\"kernel_isa\": \"" + host.kernel_isa + "\", \"host_simd_flags\": \"" +
+         host.simd_flags + "\", \"hardware_concurrency\": " +
+         std::to_string(host.hardware_concurrency) + "}";
 }
 
 /// Silence the NVFlare-style component logs during measurement loops.

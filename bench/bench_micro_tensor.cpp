@@ -9,12 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/parallel.h"
 #include "models/lstm_classifier.h"
 #include "nn/lstm.h"
@@ -31,33 +30,12 @@ void set_threads_from_arg(benchmark::State& state, int arg) {
   core::set_compute_threads(static_cast<std::size_t>(state.range(arg)));
 }
 
-// Host SIMD flags from /proc/cpuinfo (the first "flags" line), restricted to
-// the ones that decide GEMM throughput.
-std::string host_simd_flags() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string out;
-  for (std::string line; std::getline(cpuinfo, line);) {
-    if (line.rfind("flags", 0) != 0) continue;
-    std::istringstream words(line.substr(line.find(':') + 1));
-    for (std::string w; words >> w;) {
-      if (w != "avx2" && w != "fma" && w != "avx512f") continue;
-      if (!out.empty()) out += ' ';
-      out += w;
-    }
-    break;
-  }
-  return out.empty() ? "none" : out;
-}
-
 const bool kContext = [] {
-#if defined(__AVX2__) && defined(__FMA__)
-  benchmark::AddCustomContext("kernel_isa", "avx2+fma (x86-64-v3)");
-#else
-  benchmark::AddCustomContext("kernel_isa", "x86-64 baseline (sse2)");
-#endif
-  benchmark::AddCustomContext("host_simd_flags", host_simd_flags());
+  const bench::HostInfo host = bench::host_info();
+  benchmark::AddCustomContext("kernel_isa", host.kernel_isa);
+  benchmark::AddCustomContext("host_simd_flags", host.simd_flags);
   benchmark::AddCustomContext("hardware_concurrency",
-                              std::to_string(std::thread::hardware_concurrency()));
+                              std::to_string(host.hardware_concurrency));
   benchmark::AddCustomContext("compute_budget",
                               "last benchmark argument (threads per case)");
   return true;

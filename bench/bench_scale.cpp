@@ -1,13 +1,15 @@
 // Coordinator scaling bench.
 //
-// Measures what the reactor transport + long-poll dispatch + multiplexed
-// simulator buy at scale: rounds/s, peak file-descriptor count, and peak
-// thread count for 8/64-site loopback-TCP federations (thread-per-site
-// clients against the epoll reactor) and 64/256-site in-process multiplexed
-// federations (all sites on 8 pool workers). Also re-measures the faulty-run
-// overhead factor of the standard 8-site fault plan, whose pre-reactor
-// baseline was 4.16x (BENCH_faults.json): long-poll dispatch removes the
-// polling storms that amplified injected delays.
+// Measures what the reactor transport + long-poll dispatch + the shared
+// site pool buy at scale: rounds/s, peak file-descriptor count, and peak
+// thread count for 8/64-site loopback-TCP federations (one site worker per
+// site, against the epoll reactor) and 64/256-site in-process federations
+// (all sites on 8 site workers). Rows are labelled by their site-worker
+// count. Also re-measures the faulty-run overhead factor of the standard
+// 8-site fault plan, whose pre-reactor baseline was 4.16x
+// (BENCH_faults.json): long-poll dispatch removes the polling storms that
+// amplified injected delays. The same plan on the 256-site, 8-worker fleet
+// shows what faults cost when many sites share few workers.
 #include <dirent.h>
 
 #include <atomic>
@@ -93,7 +95,8 @@ class PeakSampler {
 struct ScaleResult {
   std::int64_t sites = 0;
   std::int64_t rounds = 0;
-  std::int64_t site_workers = 0;
+  std::int64_t site_workers = 0;  // the config knob: 0 = one per site
+  std::int64_t workers = 0;       // the site pool's actual size
   bool tcp = false;
   double rounds_per_sec = 0.0;
   double wall_seconds = 0.0;
@@ -145,6 +148,7 @@ ScaleResult run_scale(std::int64_t sites, std::int64_t rounds, bool tcp,
   r.sites = sites;
   r.rounds = rounds;
   r.site_workers = site_workers;
+  r.workers = site_workers > 0 ? site_workers : sites;
   r.tcp = tcp;
   r.wall_seconds = result.wall_seconds;
   r.rounds_per_sec = static_cast<double>(rounds) / result.wall_seconds;
@@ -158,7 +162,7 @@ void print_result(const ScaleResult& r) {
       "  %4lld sites %-7s workers=%-3lld : %8.1f rounds/s  (%.3f s)  "
       "peak_fds=%lld  peak_threads=%lld\n",
       static_cast<long long>(r.sites), r.tcp ? "tcp" : "inproc",
-      static_cast<long long>(r.site_workers), r.rounds_per_sec, r.wall_seconds,
+      static_cast<long long>(r.workers), r.rounds_per_sec, r.wall_seconds,
       static_cast<long long>(r.peak_fds),
       static_cast<long long>(r.peak_threads));
 }
@@ -166,10 +170,13 @@ void print_result(const ScaleResult& r) {
 void append_json(std::string& out, const ScaleResult& r, bool last) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "    {\"sites\": %lld, \"rounds\": %lld, \"transport\": "
+                "    {\"label\": \"%lld sites on %lld workers\", "
+                "\"sites\": %lld, \"rounds\": %lld, \"transport\": "
                 "\"%s\", \"site_workers\": %lld, \"rounds_per_sec\": %.3f, "
                 "\"wall_seconds\": %.3f, \"peak_fds\": %lld, "
                 "\"peak_threads\": %lld}%s\n",
+                static_cast<long long>(r.sites),
+                static_cast<long long>(r.workers),
                 static_cast<long long>(r.sites),
                 static_cast<long long>(r.rounds), r.tcp ? "tcp" : "inproc",
                 static_cast<long long>(r.site_workers), r.rounds_per_sec,
@@ -192,12 +199,13 @@ int main(int argc, char** argv) {
 
   std::printf("Coordinator scaling: reactor transport + long-poll dispatch\n");
   std::vector<ScaleResult> results;
-  // Thread-per-site clients over loopback TCP against the epoll reactor.
+  // Loopback TCP against the epoll reactor: a TCP send holds its worker
+  // through a parked long-poll, so these run one site worker per site.
   results.push_back(run_scale(8, 30, /*tcp=*/true, /*site_workers=*/0));
   print_result(results.back());
   results.push_back(run_scale(64, 10, /*tcp=*/true, /*site_workers=*/0));
   print_result(results.back());
-  // Multiplexed in-process mode: all sites on 8 pool workers.
+  // In-process: a parked poll holds no worker, so all sites share 8.
   results.push_back(run_scale(64, 10, /*tcp=*/false, /*site_workers=*/8));
   print_result(results.back());
   results.push_back(run_scale(256, 5, /*tcp=*/false, /*site_workers=*/8));
@@ -211,8 +219,18 @@ int main(int argc, char** argv) {
   std::printf("  faulty: %8.1f rounds/s\n", faulty.rounds_per_sec);
   std::printf("  overhead factor: %.2fx (baseline 4.16x)\n", overhead);
 
+  std::printf("\nFault overhead on the 256-site fleet, 8 site workers\n");
+  const ScaleResult fleet_clean = run_scale(256, 5, /*tcp=*/false, 8, false);
+  const ScaleResult fleet_faulty = run_scale(256, 5, /*tcp=*/false, 8, true);
+  const double fleet_overhead =
+      fleet_clean.rounds_per_sec / fleet_faulty.rounds_per_sec;
+  std::printf("  clean : %8.1f rounds/s\n", fleet_clean.rounds_per_sec);
+  std::printf("  faulty: %8.1f rounds/s\n", fleet_faulty.rounds_per_sec);
+  std::printf("  overhead factor: %.2fx\n", fleet_overhead);
+
   if (json_path != nullptr) {
-    std::string json = "{\n  \"configs\": [\n";
+    std::string json =
+        "{\n  \"host\": " + bench::host_json() + ",\n  \"configs\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       append_json(json, results[i], i + 1 == results.size());
     }
@@ -229,8 +247,17 @@ int main(int argc, char** argv) {
         "\"clean_rounds_per_sec\": %.3f, \"faulty_rounds_per_sec\": %.3f, "
         "\"overhead_factor\": %.3f, "
         "\"pre_reactor\": {\"clean_rounds_per_sec\": 118.622, "
-        "\"faulty_rounds_per_sec\": 28.515, \"overhead_factor\": 4.160}}\n}\n",
+        "\"faulty_rounds_per_sec\": 28.515, \"overhead_factor\": 4.160}},\n",
         clean.rounds_per_sec, faulty.rounds_per_sec, overhead);
+    json += buf;
+    std::snprintf(
+        buf, sizeof(buf),
+        "  \"fleet_fault_overhead\": {\"sites\": 256, \"site_workers\": 8, "
+        "\"transport\": \"inproc\", \"rounds\": 5, \"fault_plan\": "
+        "\"same as fault_overhead\", \"clean_rounds_per_sec\": %.3f, "
+        "\"faulty_rounds_per_sec\": %.3f, \"overhead_factor\": %.3f}\n}\n",
+        fleet_clean.rounds_per_sec, fleet_faulty.rounds_per_sec,
+        fleet_overhead);
     json += buf;
     std::FILE* f = std::fopen(json_path, "w");
     if (f == nullptr) {

@@ -103,7 +103,7 @@ int run_client(std::uint16_t port, const std::string& site, std::int64_t clients
       make_learner(data, index, site));
   client.run();
   std::printf("%s participated in %lld rounds\n", site.c_str(),
-              static_cast<long long>(client.rounds_participated()));
+              static_cast<long long>(client.session().rounds_participated()));
   return 0;
 }
 

@@ -19,10 +19,11 @@
 #   BENCH_obs.json — bench_trace rounds/s of a clean vs fully traced 8-site
 #     TCP federation and the tracing overhead factor (budget 1.05x).
 #   BENCH_scale.json — bench_scale rounds/s, peak fd count and peak thread
-#       count at 8/64 sites over TCP (epoll reactor) and 64/256 sites in the
-#       multiplexed in-process mode (8 pool workers), plus a re-measurement
-#       of the faulty-run overhead factor against the 4.16x pre-reactor
-#       baseline recorded in BENCH_faults.json.
+#       count at 8/64 sites over TCP (epoll reactor, one site worker per
+#       site) and 64/256 sites in-process on 8 site workers, plus the
+#       faulty-run overhead factor of the 8-site TCP plan (against the 4.16x
+#       pre-reactor baseline in BENCH_faults.json) and of the same plan on
+#       the 256-site, 8-worker fleet; it records the host block.
 #   BENCH_privacy.json — bench_privacy rounds/s of masked vs unmasked
 #       8-site TCP federations (clean and with one site dropped mid-run, so
 #       masked rounds pay the unmask-recovery wave), plus a DP noise grid:

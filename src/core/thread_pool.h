@@ -1,7 +1,7 @@
 // Fixed-size worker pool.
 //
-// The federated simulator runs each client site on its own worker, the way
-// NVFlare's SimulatorRunner multiplexes clients over threads. Tasks are
+// The federated simulator runs every site's client loop on one of these
+// pools, the way NVFlare's SimulatorRunner multiplexes clients over threads. Tasks are
 // type-erased `std::function<void()>`; callers wanting results submit
 // through `submit()` and receive a future.
 #pragma once

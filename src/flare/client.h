@@ -1,20 +1,25 @@
-// The federated client runtime: the blocking I/O loop around ClientSession.
+// The federated client runtime: the one I/O loop around ClientSession.
 //
 // Owns a transport connection and a ClientSession (client_session.h), which
 // holds the whole client protocol — the client half of Fig. 3: register
 // (token handshake), poll for tasks, run local training, pass the result
 // through the outbound filter chain, submit, repeat until the server says
-// stop. `run()` delivers each frame the session produces over the
-// Connection, feeds the reply back, and sleeps out the session's retry
-// delays, rebuilding the connection through the `ConnectionFactory` when
-// one is available (DESIGN.md §9).
+// stop. The loop is continuation-driven: it hands each frame the session
+// produces to `Connection::send`, posts the reply to an executor, and on
+// that executor feeds the reply back to the session. A retry delay sleeps
+// on the executor's thread and then rebuilds the connection through the
+// `ConnectionFactory` when one is available (DESIGN.md §9).
+//
+// The simulator runs every site's loop on its site pool (`start`); a
+// deployed site blocks in `run`. Either way it is the same loop over the
+// same session.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "flare/client_session.h"
 #include "flare/transport.h"
@@ -28,6 +33,14 @@ using ConnectionFactory = std::function<std::unique_ptr<Connection>()>;
 
 class FederatedClient {
  public:
+  /// Runs one step of the loop: on the simulator's site pool, or on run()'s
+  /// private worker. Invoked from any thread; a step it drops (a pool
+  /// shutting down) ends the loop without `on_done`.
+  using Executor = std::function<void(std::function<void()>)>;
+  /// How the loop ended: null when the server stopped the run, otherwise
+  /// the ProtocolError or TransportError that ended it.
+  using DoneFn = std::function<void(std::exception_ptr)>;
+
   /// Single fixed connection (no reconnect on failure; retries re-use it).
   FederatedClient(ClientConfig config, Credential credential,
                   std::unique_ptr<Connection> connection,
@@ -37,46 +50,33 @@ class FederatedClient {
   FederatedClient(ClientConfig config, Credential credential,
                   ConnectionFactory factory, std::shared_ptr<Learner> learner);
 
+  /// The client protocol state: outbound filters, the unmask provider
+  /// (DESIGN.md §14) and the protocol counters. Configure it before the
+  /// loop starts; read its counters once the loop has ended.
+  ClientSession& session();
+  const ClientSession& session() const;
   /// Filters applied to every outbound contribution (privacy lives here).
-  FilterChain& outbound_filters() { return session_.outbound_filters(); }
+  FilterChain& outbound_filters() { return session().outbound_filters(); }
+  const std::string& site_name() const { return session().site_name(); }
+  /// Connections rebuilt through the factory after transport failures.
+  std::int64_t reconnects() const;
 
-  /// See ClientSession::UnmaskProvider. Installed by the secure-aggregation
-  /// wiring; without one an UnmaskRequest is a fatal protocol error.
-  using UnmaskProvider = ClientSession::UnmaskProvider;
-  void set_unmask_provider(UnmaskProvider provider) {
-    session_.set_unmask_provider(std::move(provider));
-  }
+  /// Starts the loop and returns at once. Every step — the session's
+  /// reaction to a reply (local training included) and every retry sleep —
+  /// runs as a task on `executor`, one at a time. `on_done` fires exactly
+  /// once, from the loop's last task. Call at most once. The loop keeps its
+  /// state alive by itself, so the client may be destroyed while a reply is
+  /// still in flight.
+  void start(Executor executor, DoneFn on_done);
 
-  /// Blocking: registers and participates until the server stops the run.
-  /// Throws ProtocolError on fatal protocol violations and TransportError
-  /// once the retry budget for a transport failure is exhausted.
+  /// Blocking: runs the loop on a private worker until the server stops the
+  /// run. Rethrows the ProtocolError of a fatal protocol violation, or the
+  /// TransportError that exhausted the retry budget.
   void run();
 
-  std::int64_t rounds_participated() const {
-    return session_.rounds_participated();
-  }
-  /// Contributions the server refused (validator rejection, quarantine,
-  /// stale round) over the client's lifetime.
-  std::int64_t updates_rejected() const { return session_.updates_rejected(); }
-  /// Transport-level failures absorbed by the retry machinery (dropped or
-  /// corrupted frames, reconnects) over the client's lifetime.
-  std::int64_t transport_failures() const {
-    return session_.transport_failures();
-  }
-  std::int64_t reconnects() const { return reconnects_; }
-  std::int64_t reregistrations() const { return session_.reregistrations(); }
-  /// UnmaskRequests answered during mask-recovery phases.
-  std::int64_t unmask_answers() const { return session_.unmask_answers(); }
-  const std::string& site_name() const { return session_.site_name(); }
-
  private:
-  /// Delivers one frame; throws TransportError when it cannot.
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& frame);
-
-  ClientSession session_;
-  std::unique_ptr<Connection> connection_;
-  ConnectionFactory factory_;
-  std::int64_t reconnects_ = 0;
+  struct Loop;
+  std::shared_ptr<Loop> loop_;
 };
 
 }  // namespace cppflare::flare

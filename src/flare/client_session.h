@@ -6,9 +6,10 @@
 // discipline (DESIGN.md §9). It does no I/O and never sleeps: an I/O loop
 // feeds it reply bytes (with the current time) and gets back the next
 // sealed frame to deliver, a delay to wait before resending, or "done".
-// Two I/O loops run it: FederatedClient (client.h) blocks on a Connection,
-// one thread per site over in-process or TCP transports; the simulator's
-// multiplexed mode posts each reply to a shared worker pool.
+// One I/O loop runs it: FederatedClient (client.h), which posts each reply
+// to an executor — the simulator's site pool, or the calling thread of a
+// deployed site's blocking run(). cflint R15 keeps the session's reply
+// calls inside client.* so a second loop cannot grow back.
 //
 // Failure classification, per exchange:
 //  * transport failures — the I/O loop's call threw, the reply failed
@@ -63,7 +64,7 @@ struct ClientConfig {
   std::uint64_t retry_seed = 0x9277;
 };
 
-/// The clock both I/O loops hand the session as `now_ms`: milliseconds on
+/// The clock the I/O loop hands the session as `now_ms`: milliseconds on
 /// the monotonic clock.
 inline std::int64_t steady_now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -22,10 +22,11 @@ bool FaultyConnection::faults_left() const {
   return plan_.max_faults < 0 || injected_ < plan_.max_faults;
 }
 
-std::vector<std::uint8_t> FaultyConnection::call(
-    const std::vector<std::uint8_t>& request) {
+void FaultyConnection::send(const std::vector<std::uint8_t>& request,
+                            SendDone done) {
   if (!inner_) {
-    throw TransportError("fault: connection is down");
+    done(Delivery{{}, "fault: connection is down"});
+    return;
   }
   const std::int64_t index = call_index_++;
   stats_->calls += 1;
@@ -44,7 +45,8 @@ std::vector<std::uint8_t> FaultyConnection::call(
     stats_->disconnects += 1;
     inner_.reset();
     LOG(warn).msg("injected disconnect at call " + std::to_string(index));
-    throw TransportError("fault: connection lost");
+    done(Delivery{{}, "fault: connection lost"});
+    return;
   }
 
   bool drop_response = false;
@@ -52,7 +54,8 @@ std::vector<std::uint8_t> FaultyConnection::call(
     injected_ += 1;
     if (drop_parity_++ % 2 == 0) {
       stats_->dropped_requests += 1;
-      throw TransportError("fault: request dropped");
+      done(Delivery{{}, "fault: request dropped"});
+      return;
     }
     stats_->dropped_responses += 1;
     drop_response = true;
@@ -64,28 +67,44 @@ std::vector<std::uint8_t> FaultyConnection::call(
     core::Backoff::sleep_ms(plan_.delay_ms);
   }
 
-  std::vector<std::uint8_t> delivered = request;
-  if (want_corrupt && faults_left() && !delivered.empty()) {
+  auto delivered = std::make_shared<std::vector<std::uint8_t>>(request);
+  if (want_corrupt && faults_left() && !delivered->empty()) {
     injected_ += 1;
     stats_->corruptions += 1;
     const std::size_t byte = static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(delivered.size()) - 1));
+        rng_.uniform_int(0, static_cast<std::int64_t>(delivered->size()) - 1));
     const int bit = static_cast<int>(rng_.uniform_int(0, 7));
-    delivered[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    (*delivered)[byte] ^= static_cast<std::uint8_t>(1u << bit);
   }
 
-  std::vector<std::uint8_t> response = inner_->call(delivered);
-  if (want_duplicate && faults_left()) {
+  // Booked before sending, so only the sending thread touches the stats.
+  const bool duplicate = want_duplicate && faults_left();
+  if (duplicate) {
     injected_ += 1;
     stats_->duplicates += 1;
+  }
+  SendDone finish = [drop_response, done = std::move(done)](Delivery d) {
+    if (drop_response && !d.error) d = Delivery{{}, "fault: response dropped"};
+    done(std::move(d));
+  };
+  if (!duplicate) {
+    inner_->send(*delivered, std::move(finish));
+    return;
+  }
+  Connection* inner = inner_.get();
+  inner->send(*delivered, [inner, delivered, finish = std::move(finish)](
+                              Delivery first) mutable {
+    if (first.error) {
+      finish(std::move(first));
+      return;
+    }
     // The network replays the same sealed bytes; the receiver's sequence
     // tracking rejects them, and that rejection never reaches the caller.
-    (void)inner_->call(delivered);
-  }
-  if (drop_response) {
-    throw TransportError("fault: response dropped");
-  }
-  return response;
+    inner->send(*delivered, [first = std::move(first),
+                             finish = std::move(finish)](Delivery dup) mutable {
+      finish(dup.error ? std::move(dup) : std::move(first));
+    });
+  });
 }
 
 }  // namespace cppflare::flare

@@ -19,7 +19,7 @@
 
 namespace cppflare::flare {
 
-/// Probabilities are evaluated per call(), in a fixed order (disconnect,
+/// Probabilities are evaluated per send(), in a fixed order (disconnect,
 /// drop, delay, duplicate, corrupt), so the injected sequence is a pure
 /// function of the seed and the call index.
 struct FaultPlan {
@@ -37,8 +37,9 @@ struct FaultPlan {
   /// Stall the exchange by delay_ms before delivery (straggler injection).
   double delay_prob = 0.0;
   std::int64_t delay_ms = 5;
-  /// Deliver the sealed frame twice; the duplicate's response is discarded
-  /// (exercises the server's replay protection).
+  /// Deliver the sealed frame again once its reply has arrived; the
+  /// duplicate's response is discarded (exercises the server's replay
+  /// protection).
   double duplicate_prob = 0.0;
   /// Flip one random bit of the sealed request before delivery (exercises
   /// MAC verification and the retryable-error path).
@@ -75,10 +76,12 @@ class FaultyConnection : public Connection {
   FaultyConnection(std::unique_ptr<Connection> inner, FaultPlan plan,
                    std::shared_ptr<FaultStats> stats = nullptr);
 
-  /// Throws TransportError for injected drops/disconnects; otherwise
-  /// delivers (possibly delayed, duplicated, or corrupted) and returns the
-  /// genuine response.
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override;
+  /// Completes `done` with a transport error for injected drops and
+  /// disconnects; otherwise delivers (possibly delayed, duplicated, or
+  /// corrupted) and completes it with the genuine response. A delay sleeps
+  /// on the calling thread. A duplicate goes out when the first reply
+  /// arrives, and `done` fires only after the duplicate's reply.
+  void send(const std::vector<std::uint8_t>& request, SendDone done) override;
 
   const FaultStats& stats() const { return *stats_; }
   bool disconnected() const { return !inner_; }

@@ -32,31 +32,19 @@ std::vector<std::string> client_site_names(std::int64_t num_clients) {
   return names;
 }
 
-/// What every site's client session runs with, whichever I/O loop runs it.
-ClientConfig site_client_config(const SimulatorConfig& config) {
-  ClientConfig client;
-  client.job_id = config.job_id;
-  client.max_idle_ms = config.timeout_ms;
-  client.long_poll_ms = config.long_poll_ms;
-  client.retry = config.client_retry;
-  return client;
-}
-
 /// Appends the outbound filters a site gets from the simulator config and
-/// installs the matching unmask provider. `Client` is a FederatedClient or
-/// a ClientSession (the same two hooks). Order: DP (clip + noise), then the
+/// installs the matching unmask provider. Order: DP (clip + noise), then the
 /// pre-scaling that stands in for server-side sample weighting under
 /// masking, then the poison filter of an adversarial site — after any
 /// customizer filters (privacy, clipping), so a site corrupts what it would
 /// actually have sent and its poison is not clipped back to sanity — and
 /// the mask filter last of all: whatever the site sends, honest or
 /// poisoned, is what gets hidden under masks.
-template <typename Client>
 void add_site_filters(const SimulatorConfig& config,
                       const SimulatorRunner::PoisonPlanner& poison_planner,
                       std::int64_t index, const std::string& name,
                       const std::vector<std::string>& all_sites,
-                      Client& client) {
+                      FederatedClient& client) {
   FilterChain& chain = client.outbound_filters();
   if (config.dp.enabled) {
     chain.add(std::make_shared<DpGaussianFilter>(
@@ -79,108 +67,25 @@ void add_site_filters(const SimulatorConfig& config,
       config.job_id, config.secure_agg.dealer_seed, name, all_sites,
       config.secure_agg.frac_bits);
   chain.add(masker);
-  client.set_unmask_provider(
+  client.session().set_unmask_provider(
       [masker](const std::vector<std::string>& dropped, std::int64_t round,
                const nn::StateDict& skeleton) {
         return masker->unmask_share(dropped, round, skeleton);
       });
 }
 
-/// Completion state shared by all multiplexed sites. `stopping` is the
-/// teardown handshake: once the runner sets it (under mu), site callbacks
-/// stop posting continuations to the worker pool, which makes destroying
-/// the pool safe even if a stray parked reply arrives late.
-struct MultiplexRun {
+/// Completion state shared by every site's client loop. `stopping` is the
+/// teardown handshake: once the runner sets it (under mu), the executor
+/// stops posting steps to the site pool, which makes destroying the pool
+/// safe even if a stray parked reply arrives late. Failures are kept per
+/// site index, so the result lists them in site order whatever order they
+/// happened in.
+struct SiteRun {
   core::Mutex mu;
   core::CondVar cv;
   std::int64_t remaining CF_GUARDED_BY(mu) = 0;
   bool stopping CF_GUARDED_BY(mu) = false;
-  std::vector<std::string> failed CF_GUARDED_BY(mu);
-};
-
-/// One site of the multiplexed simulator: a pool-driven I/O loop for ClientSession
-/// over the server's async dispatcher. A site never owns a thread; each
-/// reply is posted as a continuation to the shared worker pool, and while
-/// the site waits for a task its get_task is *parked server-side*,
-/// occupying no worker at all. That is what lets 256 sites run on 8
-/// workers: at any instant only the sites actually training or decoding
-/// hold a thread.
-///
-/// Threading: a site has exactly one exchange outstanding at a time, and
-/// each continuation schedules the next, so the session is accessed
-/// serially; the pool's queue mutex provides the happens-before edges
-/// between consecutive continuations.
-class SimSite : public std::enable_shared_from_this<SimSite> {
- public:
-  SimSite(ClientConfig config, Credential credential,
-          std::shared_ptr<Learner> learner, AsyncDispatcher dispatch,
-          core::ThreadPool* pool, std::shared_ptr<MultiplexRun> run)
-      : session_(std::move(config), std::move(credential), std::move(learner)),
-        dispatch_(std::move(dispatch)),
-        pool_(pool),
-        run_(std::move(run)) {}
-
-  ClientSession& session() { return session_; }
-
-  void start() {
-    auto self = shared_from_this();
-    pool_->post([self] { self->drive([&] { return self->session_.start(); }); });
-  }
-
- private:
-  /// Runs on a pool worker: takes the session's next step and acts on it.
-  /// The respond callback only enqueues; all real work happens on a worker.
-  template <typename NextStep>
-  void drive(NextStep next_step) {
-    try {
-      ClientStep step = next_step();
-      // In-process retries answer a momentarily unroutable job; waiting
-      // them out on the worker keeps the loop free of timers.
-      while (step.kind == ClientStep::Kind::kRetry) {
-        core::Backoff::sleep_ms(step.delay_ms);
-        step = session_.resend();
-      }
-      if (step.kind == ClientStep::Kind::kDone) {
-        finish({});
-        return;
-      }
-      auto self = shared_from_this();
-      dispatch_(step.frame, [self](std::vector<std::uint8_t> reply) {
-        self->enqueue(std::move(reply));
-      });
-    } catch (const std::exception& e) {
-      finish(e.what());
-    }
-  }
-
-  /// Called from whatever thread completes the exchange (a pool worker for
-  /// immediate replies, the server's ticker or another site's worker for
-  /// parked ones). Posts the continuation unless the run is tearing down.
-  void enqueue(std::vector<std::uint8_t> reply) {
-    core::MutexLock lock(run_->mu);
-    if (run_->stopping) return;  // runner gave up on us; pool may be dying
-    auto self = shared_from_this();
-    // std::function needs a copyable callable, so the buffer is captured by
-    // value (moved in; the pool's enqueue copies once).
-    pool_->post([self, buf = std::move(reply)] {
-      self->drive([&] { return self->session_.on_reply(buf, steady_now_ms()); });
-    });
-  }
-
-  void finish(const std::string& error) {
-    if (!error.empty()) {
-      LOG(error).msg("site failed:").msg(error).kv("site", session_.site_name());
-    }
-    core::MutexLock lock(run_->mu);
-    if (!error.empty()) run_->failed.push_back(session_.site_name());
-    run_->remaining -= 1;
-    run_->cv.notify_all();
-  }
-
-  ClientSession session_;
-  AsyncDispatcher dispatch_;
-  core::ThreadPool* pool_;
-  std::shared_ptr<MultiplexRun> run_;
+  std::vector<std::exception_ptr> errors CF_GUARDED_BY(mu);
 };
 
 }  // namespace
@@ -290,6 +195,14 @@ SimulatorRunner::SimulatorRunner(SimulatorConfig config, nn::StateDict initial_m
 }
 
 SimulationResult SimulatorRunner::run() {
+  const std::int64_t workers =
+      config_.site_workers > 0 ? config_.site_workers : config_.num_clients;
+  if (config_.use_tcp && workers < config_.num_clients) {
+    throw ConfigError(
+        "SimulatorRunner: use_tcp needs one site worker per site "
+        "(site_workers 0 or >= num_clients): a TCP send holds its worker "
+        "through a parked long-poll");
+  }
   const auto start = std::chrono::steady_clock::now();
   if (config_.trace) core::Tracer::instance().start(config_.trace_capacity);
   const std::int64_t trace_t0 = core::Tracer::instance().now_ns();
@@ -297,39 +210,22 @@ SimulationResult SimulatorRunner::run() {
 
   // Divide the machine between site workers and kernel threads before any
   // kernel runs, so every site's training shares one budgeted compute pool
-  // instead of each site oversubscribing the host. In multiplexed mode the
-  // site-thread count is the pool size, not the site count.
+  // instead of each site oversubscribing the host. The site-thread count is
+  // the pool size, not the site count.
   if (config_.compute_threads > 0) {
     core::set_compute_threads(
         static_cast<std::size_t>(config_.compute_threads));
   } else if (config_.compute_threads == 0) {
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t sites = static_cast<std::size_t>(std::max<std::int64_t>(
-        1, config_.site_workers > 0 ? config_.site_workers
-                                    : config_.num_clients));
+    const std::size_t sites =
+        static_cast<std::size_t>(std::max<std::int64_t>(1, workers));
     const std::size_t per_site = hw > sites ? hw - sites + 1 : 1;
     core::set_compute_threads_if_default(per_site);
   }
   LOG(info)
       .msg("Compute budget")
-      .kv("site_workers", config_.site_workers > 0 ? config_.site_workers
-                                                   : config_.num_clients)
+      .kv("site_workers", workers)
       .kv("compute_threads", static_cast<std::int64_t>(core::compute_threads()));
-
-  if (config_.site_workers > 0) {
-    if (config_.use_tcp) {
-      throw ConfigError(
-          "SimulatorRunner: site_workers (multiplexed mode) is in-process "
-          "only; use_tcp requires the thread-per-site mode");
-    }
-    if (fault_planner_ || poison_planner_ || customizer_) {
-      throw ConfigError(
-          "SimulatorRunner: fault/poison planners and client customizers "
-          "attach to per-site clients and are not supported with "
-          "site_workers; use the thread-per-site mode");
-    }
-    return run_multiplexed(start, trace_t0);
-  }
 
   std::unique_ptr<TcpServer> tcp_server;
   if (config_.use_tcp) {
@@ -347,11 +243,11 @@ SimulationResult SimulatorRunner::run() {
   auto make_factory = [&, this](std::int64_t index,
                                 const std::string& name) -> ConnectionFactory {
     auto incarnation = std::make_shared<std::atomic<std::int64_t>>(0);
-    return [this, &tcp_server, index, name,
+    return [this, port = tcp_server ? tcp_server->port() : 0, index, name,
             incarnation]() -> std::unique_ptr<Connection> {
       std::unique_ptr<Connection> conn;
       if (config_.use_tcp) {
-        conn = std::make_unique<TcpConnection>("127.0.0.1", tcp_server->port());
+        conn = std::make_unique<TcpConnection>("127.0.0.1", port);
       } else {
         // Async in-process channel so the server can *park* long-polls from
         // in-process clients too, instead of answering kNone immediately.
@@ -369,87 +265,52 @@ SimulationResult SimulatorRunner::run() {
     };
   };
 
+  ClientConfig client_config;
+  client_config.job_id = config_.job_id;
+  client_config.max_idle_ms = config_.timeout_ms;
+  client_config.long_poll_ms = config_.long_poll_ms;
+  client_config.retry = config_.client_retry;
   const std::vector<std::string> site_names =
       client_site_names(config_.num_clients);
-  std::vector<std::unique_ptr<FederatedClient>> clients;
+  std::vector<FederatedClient> clients;
+  clients.reserve(site_names.size());
   for (std::int64_t i = 0; i < config_.num_clients; ++i) {
     const std::string& name = site_names[static_cast<std::size_t>(i)];
-    auto client = std::make_unique<FederatedClient>(
-        site_client_config(config_), registry_.at(name), make_factory(i, name),
+    FederatedClient& client = clients.emplace_back(
+        client_config, registry_.at(name), make_factory(i, name),
         factory_(i, name));
-    if (customizer_) customizer_(*client);
-    add_site_filters(config_, poison_planner_, i, name, site_names, *client);
-    clients.push_back(std::move(client));
+    if (customizer_) customizer_(client);
+    add_site_filters(config_, poison_planner_, i, name, site_names, client);
   }
 
-  // One worker per site, as SimulatorRunner multiplexes clients. A scoped
-  // pool (not raw std::thread) so site workers are accounted for in the same
-  // machine-division story as the compute pool above.
-  std::vector<std::string> failed_sites;
-  std::exception_ptr first_failure;
-  {
-    core::ThreadPool site_pool(clients.size());
-    std::vector<std::future<void>> done;
-    done.reserve(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      done.push_back(site_pool.submit([&, i] { clients[i]->run(); }));
-    }
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      try {
-        done[i].get();
-      } catch (...) {
-        LOG(error).msg("client failed").kv("site", clients[i]->site_name());
-        failed_sites.push_back(clients[i]->site_name());
-        if (!first_failure) first_failure = std::current_exception();
-      }
-    }
-  }
-  const bool success = server_->wait_until_finished(config_.timeout_ms);
-  if (tcp_server) tcp_server->stop();
-  if (!success && !server_->aborted()) {
-    // Nothing to salvage: the server neither finished nor aborted. Failed
-    // clients are the likeliest cause — surface the first one.
-    if (static_cast<std::int64_t>(failed_sites.size()) >= config_.num_clients &&
-        first_failure) {
-      std::rethrow_exception(first_failure);
-    }
-    if (first_failure) std::rethrow_exception(first_failure);
-    throw Error("SimulatorRunner: run did not finish within timeout");
-  }
-  // A degraded but completed run (some clients failed, quorum still met) and
-  // an aborted run both report through the result instead of throwing.
-  return finalize(start, trace_t0, std::move(failed_sites));
-}
-
-SimulationResult SimulatorRunner::run_multiplexed(
-    std::chrono::steady_clock::time_point start, std::int64_t trace_t0) {
-  LOG(info)
-      .msg("Multiplexed mode")
-      .kv("sites", config_.num_clients)
-      .kv("site_workers", config_.site_workers);
-  auto run_state = std::make_shared<MultiplexRun>();
+  // Every site's client loop runs on one pool of `workers` threads. A site
+  // holds a worker only while it trains, decodes or sleeps out a retry; an
+  // in-process poll parked at the server holds none, which is what lets 256
+  // sites run on 8 workers.
+  auto run_state = std::make_shared<SiteRun>();
   {
     core::MutexLock lock(run_state->mu);
     run_state->remaining = config_.num_clients;
+    run_state->errors.resize(clients.size());
   }
-  std::vector<std::string> failed_sites;
+  std::vector<std::exception_ptr> errors;
   bool timed_out = false;
   {
-    core::ThreadPool pool(static_cast<std::size_t>(config_.site_workers));
-    const std::vector<std::string> site_names =
-        client_site_names(config_.num_clients);
-    std::vector<std::shared_ptr<SimSite>> sites;
-    sites.reserve(site_names.size());
-    for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-      const std::string& name = site_names[static_cast<std::size_t>(i)];
-      auto site = std::make_shared<SimSite>(
-          site_client_config(config_), registry_.at(name), factory_(i, name),
-          job_runner_->async_router(), &pool, run_state);
-      add_site_filters(config_, poison_planner_, i, name, site_names,
-                       site->session());
-      sites.push_back(std::move(site));
+    core::ThreadPool pool(static_cast<std::size_t>(workers));
+    const FederatedClient::Executor executor =
+        [&pool, run_state](std::function<void()> step) {
+          core::MutexLock lock(run_state->mu);
+          if (run_state->stopping) return;  // the pool may be dying
+          pool.post(std::move(step));
+        };
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      clients[i].start(executor, [run_state, i](std::exception_ptr error) {
+        core::MutexLock lock(run_state->mu);
+        run_state->errors[i] = std::move(error);
+        run_state->remaining -= 1;
+        run_state->cv.notify_all();
+      });
     }
-    for (const auto& site : sites) site->start();
 
     // Every site ends by receiving kStop (run finished or aborted) or by
     // failing, so `remaining == 0` covers normal completion, abort, and
@@ -476,24 +337,35 @@ SimulationResult SimulatorRunner::run_multiplexed(
     {
       core::MutexLock lock(run_state->mu);
       run_state->stopping = true;  // late replies must not touch the pool
-      failed_sites = run_state->failed;
+      errors = run_state->errors;
       if (!drained) {
         LOG(error)
-            .msg("site state machines did not drain; abandoning")
+            .msg("site client loops did not drain; abandoning")
             .kv("undrained", run_state->remaining);
       }
     }
-  }  // joins the site worker pool
+    // Unblocks any TCP send still waiting on a reply before the pool joins.
+    if (tcp_server) tcp_server->stop();
+  }  // joins the site pool
   if (timed_out) {
     throw Error("SimulatorRunner: run did not finish within timeout");
   }
+  std::vector<std::string> failed_sites;
+  std::exception_ptr first_failure;
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    if (!errors[i]) continue;
+    LOG(error).msg("client failed").kv("site", site_names[i]);
+    failed_sites.push_back(site_names[i]);
+    if (!first_failure) first_failure = errors[i];
+  }
   if (!server_->wait_until_finished(1000) && !server_->aborted()) {
     // All sites are done but the server never finished: every site failed
-    // before the run could complete.
-    throw Error("SimulatorRunner: every site failed before the run finished" +
-                (failed_sites.empty() ? std::string()
-                                      : " (first: " + failed_sites.front() + ")"));
+    // before the run could complete. Surface the first failure.
+    if (first_failure) std::rethrow_exception(first_failure);
+    throw Error("SimulatorRunner: every site ended before the run finished");
   }
+  // A degraded but completed run (some clients failed, quorum still met) and
+  // an aborted run both report through the result instead of throwing.
   return finalize(start, trace_t0, std::move(failed_sites));
 }
 

@@ -2,13 +2,14 @@
 //
 // The C++ analogue of NVFlare's SimulatorRunner used throughout the paper's
 // demonstration (Fig. 3): provisions N sites, builds the server with a
-// ScatterAndGather workflow, spins one thread per client, runs E rounds and
-// returns the final global model plus per-round aggregated metrics. The
-// transport is in-process by default or loopback TCP (`use_tcp`) to exercise
-// the real wire path. A `FaultPlanner` can wrap any site's connections in
-// the fault-injection decorator (flare/faults.h), a `PoisonPlanner` can make
-// any site adversarial at the model level (flare/poison.h), and `resume`
-// restarts a killed run from its persisted checkpoint.
+// ScatterAndGather workflow, runs every site's FederatedClient loop
+// (client.h) on one site pool, runs E rounds and returns the final global
+// model plus per-round aggregated metrics. The transport is in-process by
+// default or loopback TCP (`use_tcp`) to exercise the real wire path. A
+// `FaultPlanner` can wrap any site's connections in the fault-injection
+// decorator (flare/faults.h), a `PoisonPlanner` can make any site
+// adversarial at the model level (flare/poison.h), and `resume` restarts a
+// killed run from its persisted checkpoint.
 #pragma once
 
 #include <chrono>
@@ -110,14 +111,12 @@ struct SimulatorConfig {
   /// Long-poll budget each client sends with get_task: the server parks the
   /// poll until a task is ready or this much time passed.
   std::int64_t long_poll_ms = 10000;
-  /// Single-box scaling knob. 0 (default): one dedicated worker thread per
-  /// site, each a blocking FederatedClient — fine up to tens of sites.
-  /// > 0: multiplex all sites over a pool of this many workers, each site's
-  /// ClientSession driven by replies from the server's async dispatcher (a
-  /// 256-site federation runs on 8 workers). Both modes run the same
-  /// client protocol (client_session.h). The multiplexed mode is in-process only and excludes the
-  /// per-connection decorators: it throws ConfigError when combined with
-  /// use_tcp, a fault planner, a poison planner, or a client customizer.
+  /// Size of the site pool that runs every site's client loop: 0 (default)
+  /// means one worker per site, > 0 that many workers. An in-process poll
+  /// parked at the server holds no worker, so a 256-site federation runs on
+  /// 8 workers, fault planners, poison planners and customizers included.
+  /// A TCP send holds its worker until the reply arrives, parked long-polls
+  /// too, so use_tcp with 0 < site_workers < num_clients throws ConfigError.
   std::int64_t site_workers = 0;
   /// Abort if the run has not finished after this long.
   std::int64_t timeout_ms = 30 * 60 * 1000;
@@ -182,8 +181,8 @@ struct [[nodiscard]] SimulationResult {
   /// clipping alone offers no DP guarantee.
   double dp_epsilon_spent = 0.0;
   double dp_delta = 0.0;
-  /// Sites whose client threads failed (e.g. retry budget exhausted) while
-  /// the run still completed without them.
+  /// Sites whose client loops failed (e.g. retry budget exhausted) while
+  /// the run still completed without them, in site-index order.
   std::vector<std::string> failed_sites;
   /// Round the server resumed from (-1 for a fresh run).
   std::int64_t resumed_from_round = -1;
@@ -234,16 +233,15 @@ class SimulatorRunner {
 
   /// Runs the federation to completion (or abort — see
   /// SimulationResult::aborted). Throws only when the run can make no
-  /// progress at all: every client failed, or the timeout expired without
-  /// the server finishing or aborting.
+  /// progress at all: every client failed (the first failure, by site
+  /// index, is rethrown), or the timeout expired without the server
+  /// finishing or aborting. ConfigError for use_tcp with too few workers
+  /// (see site_workers).
   SimulationResult run();
 
  private:
-  /// The site_workers > 0 path: client sessions multiplexed on a pool.
-  SimulationResult run_multiplexed(std::chrono::steady_clock::time_point start,
-                                   std::int64_t trace_t0);
-  /// Shared tail of both paths: snapshot server state into the result,
-  /// close out tracing, log the outcome.
+  /// Snapshots server state into the result, closes out tracing, logs the
+  /// outcome.
   SimulationResult finalize(std::chrono::steady_clock::time_point start,
                             std::int64_t trace_t0,
                             std::vector<std::string> failed_sites);

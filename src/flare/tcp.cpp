@@ -190,11 +190,17 @@ TcpConnection::~TcpConnection() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::vector<std::uint8_t> TcpConnection::call(
-    const std::vector<std::uint8_t>& request) {
+void TcpConnection::send(const std::vector<std::uint8_t>& request,
+                         SendDone done) {
   CF_TRACE_SPAN("tcp.call");
-  write_frame(fd_, request);
-  return read_frame(fd_);
+  Delivery delivery;
+  try {
+    write_frame(fd_, request);
+    delivery.reply = read_frame(fd_);
+  } catch (const TransportError& e) {
+    delivery.error = e.what();
+  }
+  done(std::move(delivery));
 }
 
 }  // namespace cppflare::flare

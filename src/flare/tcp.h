@@ -70,8 +70,10 @@ class TcpServer {
   std::unique_ptr<EpollReactor> reactor_;
 };
 
-/// Client connection to a TcpServer. `call` is blocking and NOT
-/// thread-safe; use one connection per client thread.
+/// Client connection to a TcpServer. `send` writes the frame, reads the
+/// reply and completes before it returns, so a parked long-poll holds the
+/// calling thread until the server answers. Not thread-safe; one exchange
+/// at a time.
 class TcpConnection : public Connection {
  public:
   TcpConnection(const std::string& host, std::uint16_t port);
@@ -80,7 +82,7 @@ class TcpConnection : public Connection {
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override;
+  void send(const std::vector<std::uint8_t>& request, SendDone done) override;
 
  private:
   int fd_ = -1;

@@ -8,14 +8,17 @@
 //    used by the simulator (NVFlare SimulatorRunner equivalent);
 //  * TcpConnection/TcpServer (tcp.h) — real sockets over the epoll reactor
 //    (reactor.h) for multi-process runs.
-// The client side needs one primitive: a blocking `Connection::call` that
-// delivers sealed request bytes and returns sealed response bytes.
+// The client side mirrors it: `Connection::send` takes a sealed frame plus
+// a completion that receives the reply or the transport error. The client
+// I/O loop (client.h) is written against it; `call` is a blocking helper.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,35 +40,55 @@ using RespondFn = std::function<void(std::vector<std::uint8_t>)>;
 using AsyncDispatcher = std::function<void(const std::vector<std::uint8_t>&,
                                            RespondFn)>;
 
+/// How one client-side exchange ended: the sealed reply, or (`error` set)
+/// why the transport could not deliver the frame or read its answer.
+struct Delivery {
+  std::vector<std::uint8_t> reply;
+  std::optional<std::string> error;
+};
+using SendDone = std::function<void(Delivery)>;
+
 class Connection {
  public:
   virtual ~Connection() = default;
-  virtual std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) = 0;
+
+  /// Delivers one sealed frame and completes `done` exactly once; never
+  /// throws. `done` may run before send returns or later on any thread (a
+  /// parked long-poll's reply). One exchange at a time. Completing `done`
+  /// is the last thing the connection does for the exchange, so its owner
+  /// may destroy it from inside `done` or any time after.
+  virtual void send(const std::vector<std::uint8_t>& frame, SendDone done) = 0;
+
+  /// Blocking helper: send, then wait. Throws TransportError on a transport
+  /// error, and when the completion is dropped without an answer.
+  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& frame) {
+    auto result = std::make_shared<std::promise<Delivery>>();
+    std::future<Delivery> got = result->get_future();
+    send(frame, [result](Delivery d) { result->set_value(std::move(d)); });
+    Delivery delivery;
+    try {
+      delivery = got.get();
+    } catch (const std::future_error&) {
+      throw TransportError("channel closed with request pending");
+    }
+    if (delivery.error) throw TransportError(*delivery.error);
+    return std::move(delivery.reply);
+  }
 };
 
-/// In-process connection over an AsyncDispatcher: `call` blocks the calling
-/// thread until the server completes the request, so a parked long-poll
-/// costs a blocked caller thread (exactly like a socket client) instead of a
-/// retry loop. The completion may run on another thread (whichever server
-/// thread drains the park); the promise/future pair carries it back here.
+/// In-process connection: `send` is the dispatcher call, so a parked
+/// long-poll holds no thread on either side.
 class AsyncInProcConnection : public Connection {
  public:
   explicit AsyncInProcConnection(AsyncDispatcher dispatcher)
       : dispatcher_(std::move(dispatcher)) {}
 
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override {
-    auto reply = std::make_shared<std::promise<std::vector<std::uint8_t>>>();
-    std::future<std::vector<std::uint8_t>> got = reply->get_future();
-    dispatcher_(request, [reply](std::vector<std::uint8_t> response) {
-      reply->set_value(std::move(response));
+  void send(const std::vector<std::uint8_t>& frame, SendDone done) override {
+    // A copy: an inline reply may let the owner destroy this connection.
+    const AsyncDispatcher dispatch = dispatcher_;
+    dispatch(frame, [done = std::move(done)](std::vector<std::uint8_t> reply) {
+      done(Delivery{std::move(reply), std::nullopt});
     });
-    try {
-      return got.get();
-    } catch (const std::future_error&) {
-      // The server dropped the completion without answering (teardown with
-      // the request still parked) — to the caller that is a dead channel.
-      throw TransportError("in-process channel closed with request pending");
-    }
   }
 
  private:

@@ -70,6 +70,7 @@ TEST(CflintTest, EveryRuleFiresOnViolationTree) {
       {"\"R13\"", "journal.cpp"},
       {"\"R14\"", "server_construction_violation.cpp"},
       {"\"R15\"", "sync_dispatch_violation.cpp"},
+      {"\"R15\"", "second_loop_violation.cpp"},
       {"\"R16\"", "isa_violation.cpp"},
   };
   for (const auto& e : expected) {

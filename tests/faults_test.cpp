@@ -70,9 +70,9 @@ SimulatorRunner make_runner(SimulatorConfig config, std::int64_t train_ms = 0) {
 
 class CountingEcho : public Connection {
  public:
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& req) override {
+  void send(const std::vector<std::uint8_t>& req, SendDone done) override {
     calls += 1;
-    return req;
+    done(Delivery{req, std::nullopt});
   }
   int calls = 0;
 };
@@ -222,8 +222,8 @@ TEST_F(FaultsTest, BackoffJitterIsBoundedAndSeeded) {
 
 class DeadConnection : public Connection {
  public:
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>&) override {
-    throw TransportError("dead connection");
+  void send(const std::vector<std::uint8_t>&, SendDone done) override {
+    done(Delivery{{}, "dead connection"});
   }
 };
 
@@ -241,8 +241,8 @@ TEST_F(FaultsTest, ClientGivesUpAfterRetryBudgetAgainstDeadServer) {
       },
       std::make_shared<NudgeLearner>("site-1", 1.0f));
   EXPECT_THROW(client.run(), TransportError);
-  EXPECT_EQ(client.transport_failures(), 4);  // every attempt failed
-  EXPECT_EQ(client.reconnects(), 3);          // rebuilt before each retry
+  EXPECT_EQ(client.session().transport_failures(), 4);  // every attempt failed
+  EXPECT_EQ(client.reconnects(), 3);  // rebuilt before each retry
   EXPECT_EQ(connections_built, 4);
 }
 
@@ -446,56 +446,69 @@ TEST_F(FaultsTest, ConvergesUnderEachFaultModeInProc) {
   modes[3].name = "corrupt";
   modes[3].plan.corrupt_prob = 0.15;
 
-  for (const Mode& mode : modes) {
-    SCOPED_TRACE(mode.name);
-    SimulatorRunner runner = make_runner(config);
-    runner.set_fault_planner(
-        [&mode](std::int64_t index, const std::string&,
-                std::int64_t incarnation) -> std::optional<FaultPlan> {
-          FaultPlan plan = mode.plan;
-          plan.seed = 0xb0de + static_cast<std::uint64_t>(index) * 7919 +
-                      static_cast<std::uint64_t>(incarnation);
-          return plan;
-        });
-    const SimulationResult result = runner.run();
-    EXPECT_FALSE(result.aborted);
-    EXPECT_TRUE(result.failed_sites.empty());
-    EXPECT_TRUE(bit_equal(reference, result.final_model));
+  // One worker per site, and the four sites sharing two pool workers.
+  for (const std::int64_t site_workers : {0, 2}) {
+    config.site_workers = site_workers;
+    for (const Mode& mode : modes) {
+      SCOPED_TRACE(std::string(mode.name) + " site_workers=" +
+                   std::to_string(site_workers));
+      SimulatorRunner runner = make_runner(config);
+      runner.set_fault_planner(
+          [&mode](std::int64_t index, const std::string&,
+                  std::int64_t incarnation) -> std::optional<FaultPlan> {
+            FaultPlan plan = mode.plan;
+            plan.seed = 0xb0de + static_cast<std::uint64_t>(index) * 7919 +
+                        static_cast<std::uint64_t>(incarnation);
+            return plan;
+          });
+      const SimulationResult result = runner.run();
+      EXPECT_FALSE(result.aborted);
+      EXPECT_TRUE(result.failed_sites.empty());
+      EXPECT_TRUE(bit_equal(reference, result.final_model));
+    }
   }
 }
 
 TEST_F(FaultsTest, PartitionedSiteDegradesToMinClients) {
   SimulatorConfig config;
-  config.num_clients = 4;
+  config.num_clients = 5;
   config.num_rounds = 2;
   config.min_clients = 3;
   config.round_deadline_ms = 250;
   config.client_retry = {5, 40, 2.0, 3, 0.0};
-  SimulatorRunner runner = make_runner(config);
-  // site-4 registers cleanly, then its link dies for good: the first
-  // connection drops after a couple of calls and every reconnect is a
-  // black hole that swallows all requests.
-  runner.set_fault_planner(
-      [](std::int64_t index, const std::string&,
-         std::int64_t incarnation) -> std::optional<FaultPlan> {
-        if (index != 3) return std::nullopt;
-        FaultPlan plan;
-        plan.seed = 0xdead + static_cast<std::uint64_t>(incarnation);
-        if (incarnation == 0) {
-          plan.disconnect_on_call = 2;
-        } else {
-          plan.drop_prob = 1.0;
-        }
-        return plan;
-      });
-  const SimulationResult result = runner.run();
-  EXPECT_FALSE(result.aborted);
-  EXPECT_EQ(result.failed_sites,
-            (std::vector<std::string>{"site-4"}));
-  ASSERT_EQ(result.history.size(), 2u);
-  for (const RoundMetrics& m : result.history) {
-    EXPECT_EQ(m.num_contributions, 3);
-    EXPECT_TRUE(m.deadline_fired);
+  // One worker per site, and the five sites sharing two pool workers.
+  for (const std::int64_t site_workers : {0, 2}) {
+    SCOPED_TRACE("site_workers=" + std::to_string(site_workers));
+    config.site_workers = site_workers;
+    SimulatorRunner runner = make_runner(config);
+    // site-2 and site-4 register cleanly, then their links die for good:
+    // the first connection drops (site-4 on its first poll, site-2 on its
+    // first submit) and every reconnect is a black hole that swallows all
+    // requests. The two give up within about a millisecond of each other,
+    // in either order; the result lists them in site order.
+    runner.set_fault_planner(
+        [](std::int64_t index, const std::string&,
+           std::int64_t incarnation) -> std::optional<FaultPlan> {
+          if (index != 1 && index != 3) return std::nullopt;
+          FaultPlan plan;
+          plan.seed = 0xdead + static_cast<std::uint64_t>(index) * 31 +
+                      static_cast<std::uint64_t>(incarnation);
+          if (incarnation == 0) {
+            plan.disconnect_on_call = index == 3 ? 1 : 2;
+          } else {
+            plan.drop_prob = 1.0;
+          }
+          return plan;
+        });
+    const SimulationResult result = runner.run();
+    EXPECT_FALSE(result.aborted);
+    EXPECT_EQ(result.failed_sites,
+              (std::vector<std::string>{"site-2", "site-4"}));
+    ASSERT_EQ(result.history.size(), 2u);
+    for (const RoundMetrics& m : result.history) {
+      EXPECT_EQ(m.num_contributions, 3);
+      EXPECT_TRUE(m.deadline_fired);
+    }
   }
 }
 

@@ -615,11 +615,13 @@ std::vector<AcceptanceAttack> acceptance_attacks() {
 
 void expect_defended_run_matches_clean_reference(bool use_tcp,
                                                  const AcceptanceAttack& attack,
-                                                 const nn::StateDict& reference) {
+                                                 const nn::StateDict& reference,
+                                                 std::int64_t site_workers = 0) {
   SimulatorConfig config;
   config.num_clients = 8;
   config.num_rounds = 4;
   config.use_tcp = use_tcp;
+  config.site_workers = site_workers;
   arm_defenses(config);
   SimulatorRunner runner = make_runner(config);
   runner.set_poison_planner(
@@ -650,10 +652,14 @@ TEST_F(PoisonTest, DefendedEightSiteRunMatchesCleanSevenSiteRunInProc) {
   SimulatorRunner clean = make_runner(clean_config);
   const nn::StateDict reference = clean.run().final_model;
 
-  for (const AcceptanceAttack& attack : acceptance_attacks()) {
-    SCOPED_TRACE(attack.name);
-    expect_defended_run_matches_clean_reference(/*use_tcp=*/false, attack,
-                                                reference);
+  // One worker per site, and all eight sites on two pool workers.
+  for (const std::int64_t site_workers : {0, 2}) {
+    for (const AcceptanceAttack& attack : acceptance_attacks()) {
+      SCOPED_TRACE(std::string(attack.name) + " site_workers=" +
+                   std::to_string(site_workers));
+      expect_defended_run_matches_clean_reference(/*use_tcp=*/false, attack,
+                                                  reference, site_workers);
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // Scaling-path tests: long-poll park/push dispatch, seeded client-sampling
-// determinism, and the multiplexed (site_workers) simulator mode up to 256
-// sites.
+// determinism, and the site pool (site_workers) up to 256 sites, with and
+// without injected faults.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -279,55 +280,43 @@ TEST_F(ScaleTest, SamplingSameSeedSameCohortsAndBits) {
   EXPECT_NE(a.cohorts, c.cohorts);
 }
 
-TEST_F(ScaleTest, SamplingCohortsIdenticalAcrossExecutionModes) {
-  // The cohort is a server-side draw: thread-per-site and multiplexed
-  // execution of the same seed see the same K-of-N sample every round and
-  // aggregate to the same bits.
-  const SampledRun threads = run_sampled(33, 0);
-  const SampledRun multiplexed = run_sampled(33, 2);
-  EXPECT_EQ(threads.cohorts, multiplexed.cohorts);
-  EXPECT_TRUE(bitwise_equal(threads.final_model, multiplexed.final_model));
+TEST_F(ScaleTest, SamplingCohortsIdenticalAtEveryWorkerCount) {
+  // The cohort is a server-side draw: one pool worker, four, or one per
+  // site, the same seed sees the same K-of-N sample every round and
+  // aggregates to the same bits.
+  const SampledRun per_site = run_sampled(33, 0);
+  for (const std::int64_t site_workers : {1, 4}) {
+    SCOPED_TRACE("site_workers=" + std::to_string(site_workers));
+    const SampledRun pooled = run_sampled(33, site_workers);
+    EXPECT_EQ(per_site.cohorts, pooled.cohorts);
+    EXPECT_TRUE(bitwise_equal(per_site.final_model, pooled.final_model));
+  }
 }
 
-// ---- multiplexed simulator mode -----------------------------------------
+// ---- the site pool --------------------------------------------------------
 
-TEST_F(ScaleTest, MultiplexedModeRejectsIncompatibleDecorators) {
+TEST_F(ScaleTest, TcpWithTooFewWorkersIsRejected) {
+  // A TCP send holds its worker through a parked long-poll, so a pool
+  // smaller than the federation could park every worker and wedge.
   SimulatorConfig config;
   config.num_clients = 2;
   config.num_rounds = 1;
-  config.site_workers = 2;
-  auto factory = [](std::int64_t i, const std::string& name) {
-    return std::make_shared<CohortLearner>(
-        name, static_cast<float>(i),
-        std::make_shared<CohortLearner::Recorder>());
-  };
-  {
-    SimulatorConfig tcp = config;
-    tcp.use_tcp = true;
-    SimulatorRunner runner(tcp, dict_of({0.0f}),
-                           std::make_unique<FedAvgAggregator>(true), factory);
-    EXPECT_THROW(runner.run(), ConfigError);
-  }
-  {
-    SimulatorRunner runner(config, dict_of({0.0f}),
-                           std::make_unique<FedAvgAggregator>(true), factory);
-    runner.set_client_customizer([](FederatedClient&) {});
-    EXPECT_THROW(runner.run(), ConfigError);
-  }
-  {
-    SimulatorRunner runner(config, dict_of({0.0f}),
-                           std::make_unique<FedAvgAggregator>(true), factory);
-    runner.set_fault_planner(
-        [](std::int64_t, const std::string&, std::int64_t) {
-          return std::optional<FaultPlan>{};
-        });
-    EXPECT_THROW(runner.run(), ConfigError);
-  }
+  config.site_workers = 1;
+  config.use_tcp = true;
+  SimulatorRunner runner(config, dict_of({0.0f}),
+                         std::make_unique<FedAvgAggregator>(true),
+                         [](std::int64_t i, const std::string& name) {
+                           return std::make_shared<CohortLearner>(
+                               name, static_cast<float>(i),
+                               std::make_shared<CohortLearner::Recorder>());
+                         });
+  EXPECT_THROW(runner.run(), ConfigError);
 }
 
-nn::StateDict run_federation(std::int64_t num_clients, std::int64_t site_workers,
-                             std::unique_ptr<Aggregator> aggregator,
-                             std::int64_t clients_per_round = 0) {
+nn::StateDict run_federation(
+    std::int64_t num_clients, std::int64_t site_workers,
+    std::unique_ptr<Aggregator> aggregator, std::int64_t clients_per_round = 0,
+    SimulatorRunner::FaultPlanner fault_planner = nullptr) {
   SimulatorConfig config;
   config.num_clients = num_clients;
   config.num_rounds = 3;
@@ -340,6 +329,7 @@ nn::StateDict run_federation(std::int64_t num_clients, std::int64_t site_workers
                                name, static_cast<float>(i % 5),
                                std::make_shared<CohortLearner::Recorder>());
                          });
+  if (fault_planner) runner.set_fault_planner(std::move(fault_planner));
   const SimulationResult result = runner.run();
   EXPECT_FALSE(result.aborted) << result.abort_reason;
   EXPECT_EQ(result.history.size(), 3u);
@@ -347,22 +337,52 @@ nn::StateDict run_federation(std::int64_t num_clients, std::int64_t site_workers
   return result.final_model;
 }
 
-TEST_F(ScaleTest, MultiplexedMatchesThreadPerSiteBitwise) {
-  const nn::StateDict threads =
+TEST_F(ScaleTest, SameBitsAtEveryWorkerCount) {
+  const nn::StateDict per_site =
       run_federation(8, 0, std::make_unique<FedAvgAggregator>(true));
-  const nn::StateDict multiplexed =
-      run_federation(8, 4, std::make_unique<FedAvgAggregator>(true));
-  EXPECT_TRUE(bitwise_equal(threads, multiplexed));
+  for (const std::int64_t site_workers : {1, 4}) {
+    SCOPED_TRACE("site_workers=" + std::to_string(site_workers));
+    EXPECT_TRUE(bitwise_equal(
+        per_site, run_federation(8, site_workers,
+                                 std::make_unique<FedAvgAggregator>(true))));
+  }
 }
 
 TEST_F(ScaleTest, TwoFiftySixSitesOnEightWorkersReproducible) {
-  // The acceptance case: a 256-site sampled federation multiplexed over 8
-  // workers on one box, bitwise-reproducible across invocations.
+  // The acceptance case: a 256-site sampled federation on 8 pool workers
+  // on one box, bitwise-reproducible across invocations.
   const nn::StateDict first = run_federation(
       256, 8, std::make_unique<FedAvgAggregator>(true), 64);
   const nn::StateDict second = run_federation(
       256, 8, std::make_unique<FedAvgAggregator>(true), 64);
   EXPECT_TRUE(bitwise_equal(first, second));
+}
+
+TEST_F(ScaleTest, TwoFiftySixFaultySitesOnEightWorkersMatchCleanRun) {
+  // The same fleet under 10% frame drops and delays on every link plus one
+  // hard mid-run disconnect: retries and reconnects absorb every fault, so
+  // the model is the clean run's, bit for bit.
+  const nn::StateDict clean = run_federation(
+      256, 8, std::make_unique<FedAvgAggregator>(true), 64);
+  // The planner runs once per connection, so every fault that forced a
+  // reconnect shows up as an extra call.
+  std::atomic<std::int64_t> connections{0};
+  const nn::StateDict faulty = run_federation(
+      256, 8, std::make_unique<FedAvgAggregator>(true), 64,
+      [&connections](std::int64_t index, const std::string&,
+                     std::int64_t incarnation) -> std::optional<FaultPlan> {
+        connections.fetch_add(1);
+        FaultPlan plan;
+        plan.seed = 0x256f + static_cast<std::uint64_t>(index) * 977 +
+                    static_cast<std::uint64_t>(incarnation);
+        plan.drop_prob = 0.1;
+        plan.delay_prob = 0.1;
+        plan.delay_ms = 1;
+        if (index == 5 && incarnation == 0) plan.disconnect_on_call = 3;
+        return plan;
+      });
+  EXPECT_GT(connections.load(), 256 + 10);
+  EXPECT_TRUE(bitwise_equal(clean, faulty));
 }
 
 }  // namespace

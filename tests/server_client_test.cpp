@@ -94,8 +94,8 @@ TEST_F(ServerClientTest, TwoClientsCompleteAllRounds) {
   t2.join();
 
   EXPECT_TRUE(server->finished());
-  EXPECT_EQ(c1->rounds_participated(), 3);
-  EXPECT_EQ(c2->rounds_participated(), 3);
+  EXPECT_EQ(c1->session().rounds_participated(), 3);
+  EXPECT_EQ(c2->session().rounds_participated(), 3);
   EXPECT_EQ(l1->rounds_seen_, (std::vector<std::int64_t>{0, 1, 2}));
 
   // Weighted FedAvg fixed point: (300*1 + 100*4)/400 = 1.75, 0.75.

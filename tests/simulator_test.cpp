@@ -149,22 +149,27 @@ TEST_F(SimulatorTest, RoundObserverSeesEveryRound) {
 }
 
 TEST_F(SimulatorTest, ClientCustomizerAddsFilters) {
-  SimulatorConfig config;
-  config.num_clients = 2;
-  config.num_rounds = 1;
-  SimulatorRunner runner(config, dict_of({0.0f}),
-                         std::make_unique<FedAvgAggregator>(true),
-                         [&](std::int64_t, const std::string& name) {
-                           return std::make_shared<HalfwayLearner>(name, 100.0f, 10);
-                         });
-  std::atomic<int> customized{0};
-  runner.set_client_customizer([&](FederatedClient& client) {
-    customized.fetch_add(1);
-    client.outbound_filters().add(std::make_shared<NormClipFilter>(0.25));
-  });
-  const SimulationResult result = runner.run();
-  EXPECT_EQ(customized.load(), 2);
-  EXPECT_NEAR(std::fabs(result.final_model.at("w").values[0]), 0.25f, 1e-4f);
+  // One worker per site, and three sites sharing two pool workers.
+  for (const std::int64_t site_workers : {0, 2}) {
+    SCOPED_TRACE("site_workers=" + std::to_string(site_workers));
+    SimulatorConfig config;
+    config.num_clients = 3;
+    config.num_rounds = 1;
+    config.site_workers = site_workers;
+    SimulatorRunner runner(config, dict_of({0.0f}),
+                           std::make_unique<FedAvgAggregator>(true),
+                           [&](std::int64_t, const std::string& name) {
+                             return std::make_shared<HalfwayLearner>(name, 100.0f, 10);
+                           });
+    std::atomic<int> customized{0};
+    runner.set_client_customizer([&](FederatedClient& client) {
+      customized.fetch_add(1);
+      client.outbound_filters().add(std::make_shared<NormClipFilter>(0.25));
+    });
+    const SimulationResult result = runner.run();
+    EXPECT_EQ(customized.load(), 3);
+    EXPECT_NEAR(std::fabs(result.final_model.at("w").values[0]), 0.25f, 1e-4f);
+  }
 }
 
 TEST_F(SimulatorTest, HistoryCarriesClientMetrics) {

@@ -645,18 +645,24 @@ class RuleRunner {
     }
   }
 
-  // R15: one request path and one client protocol. The synchronous
-  // `Dispatcher` and its adapters (`make_async`, `InProcConnection`) were
-  // a second server entry point whose fixes had to be written twice; every
-  // transport now delivers into an AsyncDispatcher. Sealing a frame is the
-  // client protocol's (or the server's) job: outside the channel itself,
-  // the server, the job router and ClientSession, a `seal(` call means a
-  // second client implementation is growing back.
+  // R15: one request path, one client protocol, one client I/O loop. The
+  // synchronous `Dispatcher` and its adapters (`make_async`,
+  // `InProcConnection`) were a second server entry point whose fixes had to
+  // be written twice; every transport now delivers into an AsyncDispatcher.
+  // Sealing a frame is the client protocol's (or the server's) job: outside
+  // the channel itself, the server, the job router and ClientSession, a
+  // `seal(` call means a second client implementation is growing back.
+  // Feeding a session its replies (`on_reply`, `on_transport_error`,
+  // `resend`) is the I/O loop's job, and FederatedClient (client.*) is the
+  // only loop: such a call anywhere else is a second loop growing back.
   void r15_one_request_path() {
     const bool may_seal = starts_with(path_, "src/flare/secure_channel.") ||
                           starts_with(path_, "src/flare/server.") ||
                           starts_with(path_, "src/flare/jobs.") ||
                           starts_with(path_, "src/flare/client_session.");
+    const bool may_drive_session =
+        starts_with(path_, "src/flare/client.") ||
+        starts_with(path_, "src/flare/client_session.");
     for (std::size_t i = 0; i < toks_.size(); ++i) {
       const Token& t = toks_[i];
       if (t.kind != TokKind::kIdent) continue;
@@ -667,11 +673,21 @@ class RuleRunner {
                     "(AsyncInProcConnection in-process)");
         continue;
       }
-      if (may_seal || t.text != "seal") continue;
       const Token* p = prev(i);
       const Token* n = next(i);
       if (n == nullptr || !is_punct(*n, "(")) continue;
-      if (p != nullptr && (is_punct(*p, ".") || is_punct(*p, "->"))) continue;
+      const bool member_call =
+          p != nullptr && (is_punct(*p, ".") || is_punct(*p, "->"));
+      if (!may_drive_session && member_call &&
+          (t.text == "on_reply" || t.text == "on_transport_error" ||
+           t.text == "resend")) {
+        flag(15, t, "ClientSession::" + t.text + "() outside client.* and "
+                    "client_session.*; FederatedClient is the one client "
+                    "I/O loop (start() on an executor, or run())");
+        continue;
+      }
+      if (may_seal || t.text != "seal") continue;
+      if (member_call) continue;
       flag(15, t, "seal() outside the channel, server, job router and "
                   "ClientSession; drive the client protocol through "
                   "ClientSession instead of sealing frames by hand");

@@ -274,6 +274,16 @@ const std::vector<Case>& cases() {
       {"R15 sealing owners allowed", "src/flare/client_session.cpp",
        "Bytes f(const Credential& c) { return seal(c.name, c.secret, 1, b); }\n",
        {}},
+      {"R15 second client I/O loop", "src/flare/simulator.cpp",
+       "// session.on_reply( in a comment is fine\n"
+       "void f(ClientSession& s) { s.on_reply(bytes, now); }\n"
+       "void g(ClientSession* s) { s->on_transport_error(\"x\"); }\n"
+       "void h(ClientSession& s) { s.resend(); }\n"
+       "void i(Reply& r) { resend(r); const char* n = \"s.resend()\"; }\n",
+       {{15, 2}, {15, 3}, {15, 4}}},
+      {"R15 the client loop may drive the session", "src/flare/client.cpp",
+       "void f(ClientSession& s) { s.on_reply(bytes, now); s.resend(); }\n",
+       {}},
       {"R15 exempt", "src/flare/exempt_sync.cpp",
        "// R15-exempt: fixture proves the exemption path\n"
        "Bytes f(const Credential& c) { return seal(c.name, c.secret, 1, b); }\n",
