@@ -109,12 +109,15 @@ double measure_recovery_ms(const std::filesystem::path& dir) {
   {
     flare::RoundJournal journal(journal_path, core::WalSyncPolicy::kEveryRound);
     (void)journal.open(job);
-    journal.round_open(0, cohort);
+    journal.append({.type = flare::JournalEventType::kRoundOpen,
+                    .round = 0,
+                    .names = cohort});
     for (const std::string& site : cohort) {
-      nn::StateDict update = bench_model();
-      flare::Dxo dxo(flare::DxoKind::kWeights, std::move(update));
+      flare::Dxo dxo(flare::DxoKind::kWeights, bench_model());
       dxo.set_meta_int(flare::Dxo::kMetaNumSamples, 10);
-      journal.accepted(site, dxo);
+      journal.append({.type = flare::JournalEventType::kAccepted,
+                      .site = site,
+                      .payload = std::move(dxo)});
     }
     journal.sync();
   }
@@ -153,8 +156,8 @@ int main(int argc, char** argv) {
       ("cppflare_bench_crash_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
 
-  std::printf("Durability overhead: %lld-site threaded federation, %lld rounds"
-              " (%lld-float model)\n",
+  std::printf("Durability overhead: %lld-site in-process federation, %lld "
+              "rounds (%lld-float model)\n",
               static_cast<long long>(kSites), static_cast<long long>(kRounds),
               static_cast<long long>(kModelFloats));
 
@@ -181,10 +184,11 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n"
+                 "  \"host\": %s,\n"
                  "  \"sites\": %lld,\n"
                  "  \"rounds\": %lld,\n"
                  "  \"model_floats\": %lld,\n"
-                 "  \"transport\": \"threaded\",\n"
+                 "  \"transport\": \"inproc\",\n"
                  "  \"journal_off_rounds_per_sec\": %.3f,\n"
                  "  \"fsync_per_round_rounds_per_sec\": %.3f,\n"
                  "  \"fsync_per_record_rounds_per_sec\": %.3f,\n"
@@ -194,7 +198,7 @@ int main(int argc, char** argv) {
                  "  \"recovery\": {\"journaled_accepts\": %lld, "
                  "\"replay_ms\": %.3f}\n"
                  "}\n",
-                 static_cast<long long>(kSites),
+                 bench::host_json().c_str(), static_cast<long long>(kSites),
                  static_cast<long long>(kRounds),
                  static_cast<long long>(kModelFloats), off, per_round,
                  per_record, off / per_round, off / per_record,

@@ -29,11 +29,11 @@
 #       masked rounds pay the unmask-recovery wave), plus a DP noise grid:
 #       final-model RMSE against the clip-only reference and the
 #       accountant's epsilon per sigma (-1 encodes infinite spend).
-#   BENCH_crash.json — bench_crash rounds/s of an 8-site threaded federation
-#       with the round journal off, fsyncing once per round (budget 1.10x
+#   BENCH_crash.json — bench_crash rounds/s of an 8-site in-process
+#       federation (one pool worker per site) with the round journal off, fsyncing once per round (budget 1.10x
 #       against journal-off) and fsyncing every record, plus the replay
 #       latency of a coordinator restarted over a mid-round journal holding
-#       eight accepted contributions.
+#       eight accepted contributions; it records the host block.
 #   BENCH_jobs.json — bench_jobs aggregate rounds/s of 1 vs 4 concurrent
 #       federated jobs on one coordinator (8 sites each, in-proc transport)
 #       with the resulting scaling factor, plus mean admin-console call

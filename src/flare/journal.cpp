@@ -188,86 +188,11 @@ JournalReplay RoundJournal::open(const std::string& job_id) {
 }
 
 void RoundJournal::append(const JournalEvent& event) {
+  // No sync here, not even for kRoundOpen: the previous round was made
+  // durable by its own commit barrier and the compaction fsync, and
+  // kEveryRound promises power-loss durability only for *committed* rounds.
+  // kEveryRecord syncs inside the WAL append itself.
   wal_.append(event.encode());
-}
-
-void RoundJournal::round_open(std::int64_t round,
-                              const std::vector<std::string>& cohort) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kRoundOpen;
-  ev.round = round;
-  ev.names = cohort;
-  append(ev);
-  // No sync here: the previous round was already made durable by its own
-  // commit barrier and the compaction fsync, and kEveryRound promises
-  // power-loss durability only for *committed* rounds — this open frame is
-  // covered by this round's commit() barrier (kEveryRecord still syncs the
-  // append itself).
-}
-
-void RoundJournal::accepted(const std::string& site, const Dxo& update) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kAccepted;
-  ev.site = site;
-  ev.payload = update;
-  append(ev);
-}
-
-void RoundJournal::rejected(const std::string& site, std::uint8_t reason,
-                            const std::string& message) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kRejected;
-  ev.site = site;
-  ev.reason = reason;
-  ev.detail = message;
-  append(ev);
-}
-
-void RoundJournal::quarantine_scored(const std::string& site,
-                                     std::uint8_t reason,
-                                     const std::string& detail, double norm) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kQuarantineScored;
-  ev.site = site;
-  ev.reason = reason;
-  ev.detail = detail;
-  ev.norm = norm;
-  append(ev);
-}
-
-void RoundJournal::evicted(const std::string& site) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kEviction;
-  ev.site = site;
-  append(ev);
-}
-
-void RoundJournal::recovery_begin(std::int64_t round,
-                                  const std::vector<std::string>& dropped,
-                                  bool deadline_fired) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kRecoveryBegin;
-  ev.round = round;
-  ev.names = dropped;
-  ev.deadline_fired = deadline_fired;
-  append(ev);
-}
-
-void RoundJournal::unmask_share(const std::string& site, const Dxo& share) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kUnmaskShare;
-  ev.site = site;
-  ev.payload = share;
-  append(ev);
-}
-
-void RoundJournal::recovery_wave(std::int64_t wave,
-                                 const std::vector<std::string>& demoted) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kRecoveryWave;
-  ev.wave = wave;
-  ev.names = demoted;
-  append(ev);
 }
 
 void RoundJournal::commit(std::int64_t round) {

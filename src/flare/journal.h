@@ -3,12 +3,14 @@
 // The CPK3 checkpoint persists completed rounds; everything inside a round
 // — accepted contributions (their sealed DXO bytes), typed rejections,
 // quarantine scores, evictions, the secure-agg recovery state machine —
-// lives only in server memory. The journal records each of those mutations
-// as a typed WAL frame *before* the in-memory state changes, all under the
-// server's round lock, so a restarted coordinator replays the journal and
-// resumes mid-round: already-accepted sites are not re-trained, reputation
-// strikes survive, and a frozen masked round picks recovery back up at the
-// exact wave it froze in.
+// lives only in server memory. Each of those mutations IS a JournalEvent:
+// the server builds the event, append()s it as a typed WAL frame *before*
+// the in-memory state changes (all under the server's round lock), and then
+// applies it with the one function replay also runs. A restarted
+// coordinator therefore replays the journal into exactly the state the live
+// round had: already-accepted sites are not re-trained, reputation strikes
+// survive, and a frozen masked round picks recovery back up at the exact
+// wave it froze in.
 //
 // Lifecycle of the log: a job header frame, then per round a kRoundOpen,
 // the round's events, and a kCommit barrier appended after the CPK3
@@ -44,17 +46,18 @@ enum class JournalEventType : std::uint8_t {
 
 const char* journal_event_name(JournalEventType type);
 
-/// One journal frame, decoded. Only the fields relevant to `type` are
-/// meaningful; the rest keep their defaults.
+/// One journal frame, decoded — and the unit of round mutation: the server
+/// builds one per mutation with a designated initializer naming only the
+/// fields relevant to `type`; the rest keep their (explicit) defaults.
 struct JournalEvent {
   JournalEventType type = JournalEventType::kJobHeader;
-  std::string job_id;               // kJobHeader
+  std::string job_id{};             // kJobHeader
   std::int64_t round = 0;           // kRoundOpen / kRecoveryBegin / kCommit
-  std::string site;                 // per-site events
-  std::vector<std::string> names;   // cohort / dropped / demoted
-  std::optional<Dxo> payload;       // kAccepted / kUnmaskShare
+  std::string site{};               // per-site events
+  std::vector<std::string> names{}; // cohort / dropped / demoted
+  std::optional<Dxo> payload{};     // kAccepted / kUnmaskShare
   std::uint8_t reason = 0;          // kRejected / kQuarantineScored
-  std::string detail;               // ack message / verdict detail
+  std::string detail{};             // ack message / verdict detail
   double norm = 0.0;                // kQuarantineScored
   bool deadline_fired = false;      // kRecoveryBegin
   std::int64_t wave = 0;            // kRecoveryWave
@@ -86,23 +89,16 @@ class RoundJournal {
   /// different job, core::WalCorruptionError on bit-rot.
   JournalReplay open(const std::string& job_id);
 
-  void round_open(std::int64_t round, const std::vector<std::string>& cohort);
-  void accepted(const std::string& site, const Dxo& update);
-  void rejected(const std::string& site, std::uint8_t reason,
-                const std::string& message);
-  void quarantine_scored(const std::string& site, std::uint8_t reason,
-                         const std::string& detail, double norm);
-  void evicted(const std::string& site);
-  void recovery_begin(std::int64_t round,
-                      const std::vector<std::string>& dropped,
-                      bool deadline_fired);
-  void unmask_share(const std::string& site, const Dxo& share);
-  void recovery_wave(std::int64_t wave,
-                     const std::vector<std::string>& demoted);
+  /// Appends one round event (any type but kJobHeader and kCommit). The
+  /// server builds the event, appends it, and then applies that same event
+  /// to its in-memory state — the function replay runs too — so the log
+  /// and the live round cannot drift apart.
+  void append(const JournalEvent& event);
 
-  /// Round-commit barrier: appends kCommit, syncs, then compacts the log
-  /// back to the job header. Called after the round's CPK3 checkpoint is
-  /// durably saved — the checkpoint owns the outcome from here on.
+  /// Round-commit barrier: appends kCommit, then compacts the log back to
+  /// the job header (the compaction's truncate is the round's one fsync).
+  /// Called after the round's CPK3 checkpoint is durably saved — the
+  /// checkpoint owns the outcome from here on.
   void commit(std::int64_t round);
 
   /// Drops all round state (stale journal detected at replay), keeping the
@@ -119,8 +115,6 @@ class RoundJournal {
   static std::vector<JournalEvent> read(const std::string& path);
 
  private:
-  void append(const JournalEvent& event);
-
   core::Wal wal_;
   std::string job_id_;
   /// Byte offset just past the job-header frame — the in-place compaction

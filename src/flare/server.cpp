@@ -527,7 +527,7 @@ std::map<std::string, std::int64_t> FederatedServer::round_rejects_locked() cons
 }
 
 std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
-                                                     const SubmitUpdateRequest& req) {
+                                                     SubmitUpdateRequest req) {
   core::MutexLock lock(mu_);
   CF_TRACE_SPAN_SITE("server.submit", sender, round_);
   auto it = sessions_.find(sender);
@@ -577,74 +577,59 @@ std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
                           RejectReason::kNotSampled});
   }
 
-  Dxo contribution = req.payload;
+  Dxo contribution = std::move(req.payload);
   const FLContext ctx = make_context_locked();
   inbound_filters_.process(contribution, ctx);
   record_site_metrics_locked(sender, contribution);
 
+  JournalEvent ev{.site = sender};
   if (reputation_.quarantined(sender)) {
     // Quarantined uploads never reach the aggregator, but they are still
     // screened (and their norm judged at round close) so clean rounds can
     // grow the site's parole streak.
-    ScoredUpload scored;
-    scored.verdict = validator_.score(sender, contribution, &scored.norm);
-    if (journal_) {
-      journal_->quarantine_scored(
-          sender, static_cast<std::uint8_t>(scored.verdict.reason),
-          scored.verdict.detail, scored.norm);
-    }
-    scored_quarantined_[sender] = std::move(scored);
-    record_rejection_locked(RejectReason::kQuarantined);
-    const SubmitAck ack{false,
-                        "quarantined: update scored but excluded from "
-                        "aggregation",
-                        RejectReason::kQuarantined};
-    rejected_acks_[sender] = ack;
-    maybe_close_round_locked();
-    service_parked_locked();
-    return pack(ack);
+    const Verdict verdict = validator_.score(sender, contribution, &ev.norm);
+    ev.type = JournalEventType::kQuarantineScored;
+    ev.reason = static_cast<std::uint8_t>(verdict.reason);
+    ev.detail = verdict.detail;
+  } else if (const Verdict verdict =
+                 validator_.admit(*aggregator_, sender, contribution);
+             !verdict.ok()) {
+    ev.type = JournalEventType::kRejected;
+    ev.reason = static_cast<std::uint8_t>(verdict.reason);
+    ev.detail = "rejected: " + std::string(reject_reason_name(verdict.reason)) +
+                (verdict.detail.empty() ? "" : " (" + verdict.detail + ")");
+  } else {
+    // The accepted (post-filter) bytes move into the event. Once its frame
+    // is down, a crash anywhere leaves a replayable record and the client's
+    // resend maps to kDuplicateContribution — the site is never asked to
+    // train this round again.
+    ev.type = JournalEventType::kAccepted;
+    ev.payload = std::move(contribution);
   }
-
-  const Verdict verdict = validator_.admit(*aggregator_, sender, contribution);
-  if (!verdict.ok()) {
-    const SubmitAck ack{
-        false,
-        "rejected: " + std::string(reject_reason_name(verdict.reason)) +
-            (verdict.detail.empty() ? "" : " (" + verdict.detail + ")"),
-        verdict.reason};
-    if (journal_) {
-      journal_->rejected(sender, static_cast<std::uint8_t>(verdict.reason),
-                         ack.message);
-    }
-    record_rejection_locked(verdict.reason);
-    if (reputation_.record_rejection(sender)) {
-      LOG_AS(kSag, warn)
-          .msg("Site QUARANTINED after consecutive rejections")
-          .kv("site", sender)
-          .kv("strikes", config_.reputation.quarantine_after);
-    }
-    rejected_acks_[sender] = ack;
-    maybe_close_round_locked();
-    service_parked_locked();
-    return pack(ack);
+  if (journal_) journal_->append(ev);
+  if (ev.type == JournalEventType::kAccepted) {
+    CF_CRASHPOINT("journal.append.after");
   }
-  // Journal the accepted (post-filter) bytes before mutating round state:
-  // after this frame is down, a crash anywhere leaves a replayable record
-  // and the client's resend maps to kDuplicateContribution — the site is
-  // never asked to train this round again.
-  if (journal_) journal_->accepted(sender, contribution);
-  CF_CRASHPOINT("journal.append.after");
-  submitted_.insert(sender);
-  metrics_.counter(metric_names::kServerContribAccepted).add(1);
+  apply_locked(ev);
+  if (ev.type == JournalEventType::kRejected && reputation_.quarantined(sender)) {
+    LOG_AS(kSag, warn)
+        .msg("Site QUARANTINED after consecutive rejections")
+        .kv("site", sender)
+        .kv("strikes", config_.reputation.quarantine_after);
+  }
+  // Read before the round can close: closing clears rejected_acks_.
+  const SubmitAck ack = ev.type == JournalEventType::kAccepted
+                            ? SubmitAck{true, "accepted"}
+                            : rejected_acks_.at(sender);
   maybe_close_round_locked();
   // The submit may have closed the round (or aborted the run): wake every
   // parked long-poll whose answer changed.
   service_parked_locked();
-  return pack(SubmitAck{true, "accepted"});
+  return pack(ack);
 }
 
 std::vector<std::uint8_t> FederatedServer::on_unmask(const std::string& sender,
-                                                     const UnmaskResponse& req) {
+                                                     UnmaskResponse req) {
   core::MutexLock lock(mu_);
   CF_TRACE_SPAN_SITE("server.unmask", sender, round_);
   auto it = sessions_.find(sender);
@@ -681,10 +666,12 @@ std::vector<std::uint8_t> FederatedServer::on_unmask(const std::string& sender,
     return pack(SubmitAck{false, "mask share rejected (incongruent skeleton)",
                           RejectReason::kSchemaMismatch});
   }
-  if (journal_) journal_->unmask_share(sender, req.share);
+  const JournalEvent ev{.type = JournalEventType::kUnmaskShare,
+                        .site = sender,
+                        .payload = std::move(req.share)};
+  if (journal_) journal_->append(ev);
   CF_CRASHPOINT("recovery.share.after");
-  unmask_pending_.erase(sender);
-  metrics_.counter(metric_names::kServerUnmaskShares).add(1);
+  apply_locked(ev);
   LOG_AS(kSag, info)
       .msg("Unmask share recorded")
       .kv("site", sender)
@@ -709,13 +696,13 @@ FLContext FederatedServer::make_context_locked() const {
 void FederatedServer::start_round_locked() {
   round_start_ = std::chrono::steady_clock::now();
   round_start_ns_ = core::Tracer::instance().now_ns();
-  if (round_replayed_) {
-    // The round was reconstructed from the journal: it is already open (and
-    // journaled), its cohort is the journaled one, and the rejection
-    // baseline stays empty — this process's counters started at zero and
-    // replay re-incremented exactly the rejections that happened before the
+  if (open_round_ == round_) {
+    // The round is already open: journal replay rebuilt it (or a replayed
+    // recovery finished it and opened this one before every site had
+    // re-registered). Its cohort is the journaled one, and the rejection
+    // baseline stays as it is — this process's counters started at zero
+    // and replay re-counted exactly the rejections that happened before the
     // crash. Resampling or re-journaling here would fork the round.
-    round_replayed_ = false;
     LOG_AS(kSag, info)
         .msg("Round " + std::to_string(round_) +
              " resumed mid-flight from journal replay.")
@@ -725,152 +712,157 @@ void FederatedServer::start_round_locked() {
   }
   reject_baseline_ = metrics_.snapshot().counters_with_prefix(
       metric_names::kRejectionPrefix);
-  sample_round_participants_locked();
-  if (journal_ && journal_open_round_ != round_) {
-    journal_->round_open(
-        round_, std::vector<std::string>(sampled_.begin(), sampled_.end()));
-    journal_open_round_ = round_;
+  const JournalEvent ev{.type = JournalEventType::kRoundOpen,
+                        .round = round_,
+                        .names = sample_round_participants_locked()};
+  if (journal_) {
+    journal_->append(ev);
     CF_CRASHPOINT("journal.open.after");
   }
+  apply_locked(ev);
   LOG_AS(kSag, info).msg("Round " + std::to_string(round_) + " started.");
   events_.fire(EventType::kRoundStarted, make_context_locked());
 }
 
-// Reconstructs mid-round state by re-driving each journaled event through
-// the same admission machinery the live path used: accepted DXO bytes go
-// back through validator_.admit (rebuilding the aggregator's buffers AND
-// the round's norm population), rejections re-strike reputation, and the
-// recovery events replay the freeze/share/demotion sequence against the
-// rebuilt aggregator. Runs in the constructor before the ticker exists and
-// before any client can connect; deadlines restart from "now" — wall-clock
-// budgets are per-process, only the *state* is durable.
+// The one mutation per journal event. Every live handler builds its event,
+// appends it to the journal (WAL-first), fires its crash point and calls
+// this; replay calls it for each journaled event, so a restarted server
+// holds exactly the state the live round held. Only state changes belong
+// here: logging, parked-poll service, ticker wake-ups and round-close checks
+// stay with the live callers, and admission (validator_.admit,
+// set_unmask_share) runs before the event exists — replay repeats it.
+void FederatedServer::apply_locked(const JournalEvent& ev) {
+  // A new recovery wave: every surviving contributor owes its share again,
+  // by a fresh deadline.
+  const auto ask_survivors = [this]() CF_REQUIRES(mu_) {
+    unmask_pending_.clear();
+    for (const std::string& site : mask_recovery_->accepted_sites()) {
+      unmask_pending_.insert(site);
+    }
+    metrics_.gauge(metric_names::kServerRecoveryDropped)
+        .set(static_cast<double>(recovery_dropped_.size()));
+    recovery_deadline_ =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
+  };
+  switch (ev.type) {
+    case JournalEventType::kRoundOpen:
+      sampled_ = std::set<std::string>(ev.names.begin(), ev.names.end());
+      open_round_ = ev.round;
+      break;
+    case JournalEventType::kAccepted:
+      submitted_.insert(ev.site);
+      metrics_.counter(metric_names::kServerContribAccepted).add(1);
+      break;
+    case JournalEventType::kRejected: {
+      const auto reason = static_cast<RejectReason>(ev.reason);
+      record_rejection_locked(reason);
+      (void)reputation_.record_rejection(ev.site);
+      rejected_acks_[ev.site] = SubmitAck{false, ev.detail, reason};
+      break;
+    }
+    case JournalEventType::kQuarantineScored:
+      scored_quarantined_[ev.site] = ScoredUpload{
+          Verdict{static_cast<RejectReason>(ev.reason), ev.detail}, ev.norm};
+      record_rejection_locked(RejectReason::kQuarantined);
+      rejected_acks_[ev.site] = SubmitAck{
+          false, "quarantined: update scored but excluded from aggregation",
+          RejectReason::kQuarantined};
+      break;
+    case JournalEventType::kEviction:
+      evicted_.insert(ev.site);
+      break;
+    case JournalEventType::kRecoveryBegin:
+      if (mask_recovery_ == nullptr) {
+        throw ConfigError(
+            "journal replay: log holds mask-recovery events but the "
+            "aggregator is not mask-recovery capable");
+      }
+      phase_ = RoundPhase::kRecovering;
+      recovery_wave_ = 0;
+      recovery_deadline_fired_ = ev.deadline_fired;
+      recovery_dropped_ = ev.names;
+      recovery_start_ns_ = core::Tracer::instance().now_ns();
+      metrics_.counter(metric_names::kServerRecoveryRounds).add(1);
+      ask_survivors();
+      break;
+    case JournalEventType::kUnmaskShare:
+      unmask_pending_.erase(ev.site);
+      metrics_.counter(metric_names::kServerUnmaskShares).add(1);
+      break;
+    case JournalEventType::kRecoveryWave: {
+      // The demotion cascade: each laggard's buffered masked contribution
+      // is revoked byte-exactly (so its own masks leave the sum with it) and
+      // its name joins the dropped set. The remaining survivors must answer
+      // again against the enlarged set, so all recorded shares are void.
+      for (const std::string& site : ev.names) {
+        (void)aggregator_->revoke(site);
+        submitted_.erase(site);
+        recovery_dropped_.push_back(site);
+      }
+      metrics_.counter(metric_names::kServerRecoveryDemotions)
+          .add(static_cast<std::int64_t>(ev.names.size()));
+      std::sort(recovery_dropped_.begin(), recovery_dropped_.end());
+      mask_recovery_->clear_unmask_shares();
+      recovery_wave_ = ev.wave + 1;
+      ask_survivors();
+      const std::int64_t required = min_required_locked();
+      if (static_cast<std::int64_t>(unmask_pending_.size()) < required) {
+        abort_run_locked(
+            "round " + std::to_string(round_) +
+                ": mask recovery demoted the surviving set to " +
+                std::to_string(unmask_pending_.size()) +
+                " site(s), below min_clients=" + std::to_string(required),
+            AbortCode::kRecoveryBelowQuorum);
+      } else if (recovery_wave_ >= config_.secure_agg.max_recovery_waves) {
+        abort_run_locked(
+            "round " + std::to_string(round_) +
+                ": mask recovery did not converge within " +
+                std::to_string(config_.secure_agg.max_recovery_waves) +
+                " wave(s)",
+            AbortCode::kRecoveryExhausted);
+      }
+      break;
+    }
+    case JournalEventType::kJobHeader:
+    case JournalEventType::kCommit:
+      break;  // structural frames; RoundJournal::open consumed them
+  }
+}
+
+// Rebuilds mid-round state by applying each journaled event with the live
+// path's own apply_locked, after repeating the admission the live path ran
+// before it journaled: accepted DXO bytes go back through validator_.admit
+// (rebuilding the aggregator's buffers AND the round's norm population),
+// shares back into the masked aggregator. Runs in the constructor before
+// the ticker exists and before any client can connect; deadlines restart
+// from "now" — wall-clock budgets are per-process, only the *state* is
+// durable.
 void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
   bool crash_pending = true;
   for (const JournalEvent& ev : replay.events) {
-    switch (ev.type) {
-      case JournalEventType::kRoundOpen:
-        sampled_.clear();
-        for (const std::string& site : ev.names) sampled_.insert(site);
-        journal_open_round_ = ev.round;
-        break;
-      case JournalEventType::kAccepted: {
-        const Verdict verdict =
-            validator_.admit(*aggregator_, ev.site, *ev.payload);
-        if (!verdict.ok()) {
-          // Cannot happen for bytes that were admitted live unless the code
-          // changed between runs; surface it rather than silently dropping
-          // a contribution the client will never resend.
-          throw ProtocolError(
-              "journal replay: previously accepted contribution from '" +
-              ev.site + "' no longer admits (" + verdict.detail + ")");
-        }
-        submitted_.insert(ev.site);
-        metrics_.counter(metric_names::kServerContribAccepted).add(1);
-        break;
+    // A refusal cannot happen for bytes admitted live unless the code
+    // changed between runs; surface it rather than silently dropping what
+    // the client will never resend.
+    if (ev.type == JournalEventType::kAccepted) {
+      const Verdict verdict =
+          validator_.admit(*aggregator_, ev.site, *ev.payload);
+      if (!verdict.ok()) {
+        throw ProtocolError(
+            "journal replay: previously accepted contribution from '" +
+            ev.site + "' no longer admits (" + verdict.detail + ")");
       }
-      case JournalEventType::kRejected: {
-        const auto reason = static_cast<RejectReason>(ev.reason);
-        record_rejection_locked(reason);
-        (void)reputation_.record_rejection(ev.site);
-        rejected_acks_[ev.site] = SubmitAck{false, ev.detail, reason};
-        break;
-      }
-      case JournalEventType::kQuarantineScored: {
-        ScoredUpload scored;
-        scored.verdict.reason = static_cast<RejectReason>(ev.reason);
-        scored.verdict.detail = ev.detail;
-        scored.norm = ev.norm;
-        scored_quarantined_[ev.site] = std::move(scored);
-        record_rejection_locked(RejectReason::kQuarantined);
-        rejected_acks_[ev.site] =
-            SubmitAck{false,
-                      "quarantined: update scored but excluded from "
-                      "aggregation",
-                      RejectReason::kQuarantined};
-        break;
-      }
-      case JournalEventType::kEviction:
-        evicted_.insert(ev.site);
-        break;
-      case JournalEventType::kRecoveryBegin:
-        if (mask_recovery_ == nullptr) {
-          throw ConfigError(
-              "journal replay: log holds mask-recovery events but the "
-              "aggregator is not mask-recovery capable");
-        }
-        phase_ = RoundPhase::kRecovering;
-        recovery_wave_ = 0;
-        recovery_deadline_fired_ = ev.deadline_fired;
-        recovery_dropped_ = ev.names;
-        unmask_pending_.clear();
-        for (const std::string& site : mask_recovery_->accepted_sites()) {
-          unmask_pending_.insert(site);
-        }
-        recovery_deadline_ =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
-        recovery_start_ns_ = core::Tracer::instance().now_ns();
-        metrics_.counter(metric_names::kServerRecoveryRounds).add(1);
-        metrics_.gauge(metric_names::kServerRecoveryDropped)
-            .set(static_cast<double>(recovery_dropped_.size()));
-        break;
-      case JournalEventType::kUnmaskShare:
-        if (mask_recovery_->set_unmask_share(ev.site, *ev.payload)) {
-          unmask_pending_.erase(ev.site);
-          metrics_.counter(metric_names::kServerUnmaskShares).add(1);
-        }
-        break;
-      case JournalEventType::kRecoveryWave: {
-        // Re-run the demotion cascade exactly as the live path did.
-        for (const std::string& site : ev.names) {
-          (void)aggregator_->revoke(site);
-          submitted_.erase(site);
-          recovery_dropped_.push_back(site);
-        }
-        metrics_.counter(metric_names::kServerRecoveryDemotions)
-            .add(static_cast<std::int64_t>(ev.names.size()));
-        std::sort(recovery_dropped_.begin(), recovery_dropped_.end());
-        mask_recovery_->clear_unmask_shares();
-        unmask_pending_.clear();
-        for (const std::string& site : mask_recovery_->accepted_sites()) {
-          unmask_pending_.insert(site);
-        }
-        metrics_.gauge(metric_names::kServerRecoveryDropped)
-            .set(static_cast<double>(recovery_dropped_.size()));
-        const std::int64_t required = min_required_locked();
-        if (static_cast<std::int64_t>(unmask_pending_.size()) < required) {
-          abort_run_locked(
-              "round " + std::to_string(round_) +
-                  " (journal replay): mask recovery demoted the surviving "
-                  "set below min_clients",
-              AbortCode::kRecoveryBelowQuorum);
-          return;
-        }
-        recovery_wave_ = ev.wave + 1;
-        if (recovery_wave_ >= config_.secure_agg.max_recovery_waves) {
-          abort_run_locked(
-              "round " + std::to_string(round_) +
-                  " (journal replay): mask recovery did not converge within " +
-                  std::to_string(config_.secure_agg.max_recovery_waves) +
-                  " wave(s)",
-              AbortCode::kRecoveryExhausted);
-          return;
-        }
-        recovery_deadline_ =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
-        break;
-      }
-      case JournalEventType::kJobHeader:
-      case JournalEventType::kCommit:
-        break;  // structural frames; RoundJournal::open consumed them
+    } else if (ev.type == JournalEventType::kUnmaskShare &&
+               !mask_recovery_->set_unmask_share(ev.site, *ev.payload)) {
+      throw ProtocolError("journal replay: previously recorded mask share "
+                          "from '" + ev.site + "' no longer fits");
     }
+    apply_locked(ev);
     if (crash_pending) {
       crash_pending = false;
       CF_CRASHPOINT("replay.mid");
     }
   }
-  round_replayed_ = true;
   LOG_AS(kSag, info)
       .msg("Journal replay reconstructed mid-round state")
       .kv("round", round_)
@@ -937,8 +929,6 @@ void FederatedServer::settle_round_verdicts_locked() {
 }
 
 void FederatedServer::finish_round_locked(bool deadline_fired) {
-  // However this round closes, it is no longer the replayed one.
-  round_replayed_ = false;
   events_.fire(EventType::kBeforeAggregation, make_context_locked());
   settle_round_verdicts_locked();
   if (aggregator_->accepted_count() == 0) {
@@ -1011,7 +1001,6 @@ void FederatedServer::finish_round_locked(bool deadline_fired) {
     // checkpoint reconciliation — the stale journal is discarded.
     CF_CRASHPOINT("journal.commit.before");
     journal_->commit(round_);
-    journal_open_round_ = -1;
   }
   LOG_AS(kSag, info).msg("Round " + std::to_string(round_) + " finished.");
   events_.fire(EventType::kRoundDone, make_context_locked());
@@ -1098,23 +1087,13 @@ void FederatedServer::begin_recovery_locked(std::vector<std::string> dropped,
   std::sort(dropped.begin(), dropped.end());
   // Journal the freeze before entering it: a crash anywhere in the recovery
   // phase replays back to a frozen round with this exact dropped set.
-  if (journal_) journal_->recovery_begin(round_, dropped, deadline_fired);
+  const JournalEvent ev{.type = JournalEventType::kRecoveryBegin,
+                        .round = round_,
+                        .names = std::move(dropped),
+                        .deadline_fired = deadline_fired};
+  if (journal_) journal_->append(ev);
   CF_CRASHPOINT("recovery.begin.after");
-  phase_ = RoundPhase::kRecovering;
-  recovery_wave_ = 0;
-  recovery_deadline_fired_ = deadline_fired;
-  recovery_dropped_ = std::move(dropped);
-  unmask_pending_.clear();
-  for (const std::string& site : mask_recovery_->accepted_sites()) {
-    unmask_pending_.insert(site);
-  }
-  recovery_deadline_ =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
-  recovery_start_ns_ = core::Tracer::instance().now_ns();
-  metrics_.counter(metric_names::kServerRecoveryRounds).add(1);
-  metrics_.gauge(metric_names::kServerRecoveryDropped)
-      .set(static_cast<double>(recovery_dropped_.size()));
+  apply_locked(ev);
   std::string names;
   for (const std::string& s : recovery_dropped_) {
     names += (names.empty() ? "" : ", ") + s;
@@ -1137,67 +1116,24 @@ void FederatedServer::advance_recovery_locked() {
     return;
   }
   if (std::chrono::steady_clock::now() < recovery_deadline_) return;
-  // Wave deadline: every survivor still owing its share is demoted — the
-  // buffered masked contribution is revoked byte-exactly (so its own masks
-  // leave the sum with it) and its name joins the dropped set. The
-  // remaining survivors must answer again against the enlarged set, so all
-  // recorded shares are void.
-  const std::set<std::string> laggards = unmask_pending_;
-  // One frame covers the whole demotion cascade: replay re-runs it
-  // atomically, so a crash mid-loop (recovery.wave.mid) cannot leave a
-  // half-demoted wave.
-  if (journal_) {
-    journal_->recovery_wave(
-        recovery_wave_,
-        std::vector<std::string>(laggards.begin(), laggards.end()));
-  }
-  bool first_demotion = true;
-  for (const std::string& site : laggards) {
-    (void)aggregator_->revoke(site);
-    submitted_.erase(site);
-    recovery_dropped_.push_back(site);
-    if (first_demotion) {
-      first_demotion = false;
-      CF_CRASHPOINT("recovery.wave.mid");
-    }
+  // Wave deadline: every survivor still owing its share is demoted. One
+  // frame covers the whole demotion cascade: replay re-runs it atomically,
+  // so a crash mid-wave (recovery.wave.mid) cannot leave a half-demoted
+  // wave.
+  const JournalEvent ev{
+      .type = JournalEventType::kRecoveryWave,
+      .names = {unmask_pending_.begin(), unmask_pending_.end()},
+      .wave = recovery_wave_};
+  if (journal_) journal_->append(ev);
+  CF_CRASHPOINT("recovery.wave.mid");
+  for (const std::string& site : ev.names) {
     LOG_AS(kSag, warn)
         .msg("Survivor failed to reveal its mask share in time; demoted")
         .kv("site", site)
         .kv("round", round_)
         .kv("wave", recovery_wave_);
   }
-  metrics_.counter(metric_names::kServerRecoveryDemotions)
-      .add(static_cast<std::int64_t>(laggards.size()));
-  std::sort(recovery_dropped_.begin(), recovery_dropped_.end());
-  mask_recovery_->clear_unmask_shares();
-  unmask_pending_.clear();
-  for (const std::string& site : mask_recovery_->accepted_sites()) {
-    unmask_pending_.insert(site);
-  }
-  metrics_.gauge(metric_names::kServerRecoveryDropped)
-      .set(static_cast<double>(recovery_dropped_.size()));
-  const std::int64_t required = min_required_locked();
-  if (static_cast<std::int64_t>(unmask_pending_.size()) < required) {
-    abort_run_locked(
-        "round " + std::to_string(round_) +
-            ": mask recovery demoted the surviving set to " +
-            std::to_string(unmask_pending_.size()) +
-            " site(s), below min_clients=" + std::to_string(required),
-        AbortCode::kRecoveryBelowQuorum);
-    return;
-  }
-  recovery_wave_ += 1;
-  if (recovery_wave_ >= config_.secure_agg.max_recovery_waves) {
-    abort_run_locked("round " + std::to_string(round_) +
-                         ": mask recovery did not converge within " +
-                         std::to_string(config_.secure_agg.max_recovery_waves) +
-                         " wave(s)",
-                     AbortCode::kRecoveryExhausted);
-    return;
-  }
-  recovery_deadline_ =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
+  apply_locked(ev);
   // Re-ask: parked survivors receive the wave's UnmaskRequest immediately.
   service_parked_locked();
   ticker_cv_.notify_all();
@@ -1249,8 +1185,9 @@ void FederatedServer::evict_stragglers_locked() {
                             now - silent_since)
                             .count();
     if (silent >= config_.liveness_timeout_ms) {
-      if (journal_) journal_->evicted(site);
-      evicted_.insert(site);
+      const JournalEvent ev{.type = JournalEventType::kEviction, .site = site};
+      if (journal_) journal_->append(ev);
+      apply_locked(ev);
       LOG_AS(kClientManager, warn)
           .msg("Site unseen; evicted from the quorum")
           .kv("site", site)
@@ -1289,11 +1226,10 @@ bool FederatedServer::abort(const std::string& reason) {
   return did_abort;
 }
 
-void FederatedServer::sample_round_participants_locked() {
-  sampled_.clear();
+std::vector<std::string> FederatedServer::sample_round_participants_locked() {
   if (config_.clients_per_round <= 0 ||
       config_.clients_per_round >= static_cast<std::int64_t>(sessions_.size())) {
-    return;  // empty set means "everyone participates"
+    return {};  // empty cohort means "everyone participates"
   }
   // Quarantined sites are left out of the draw: sampling one would shrink
   // the round's effective quorum for no benefit (its upload could not be
@@ -1305,20 +1241,20 @@ void FederatedServer::sample_round_participants_locked() {
     if (!reputation_.quarantined(site)) sites.push_back(site);
   }
   if (static_cast<std::int64_t>(sites.size()) <= config_.clients_per_round) {
-    return;
+    return {};
   }
   core::Rng rng(config_.sampling_seed ^
                 (static_cast<std::uint64_t>(round_) * 0x9e3779b97f4a7c15ull));
   rng.shuffle(sites);
-  for (std::int64_t i = 0; i < config_.clients_per_round; ++i) {
-    sampled_.insert(sites[static_cast<std::size_t>(i)]);
-  }
+  sites.resize(static_cast<std::size_t>(config_.clients_per_round));
+  std::sort(sites.begin(), sites.end());
   std::string names;
-  for (const std::string& s : sampled_) names += (names.empty() ? "" : ", ") + s;
+  for (const std::string& s : sites) names += (names.empty() ? "" : ", ") + s;
   LOG_AS(kSag, info)
       .msg("Round sampled participants:")
       .msg(names)
       .kv("round", round_);
+  return sites;
 }
 
 bool FederatedServer::participates_locked(const std::string& site) const {
@@ -1335,9 +1271,18 @@ bool FederatedServer::resolved_locked(const std::string& site) const {
 // quarantined site closes exactly like a clean 7-site round.
 std::int64_t FederatedServer::participant_count_locked() const {
   std::int64_t count = 0;
-  for (const auto& [site, session] : sessions_) {
+  const auto count_site = [&](const std::string& site) CF_REQUIRES(mu_) {
     if (participates_locked(site) && !reputation_.quarantined(site)) count += 1;
+  };
+  if (phase_ == RoundPhase::kRecovering) {
+    // A frozen round's population was fixed when it closed: survivors plus
+    // dropped. Both live in journaled state, so the recovery quorum is the
+    // same live and on replay, where no site has re-registered yet.
+    for (const std::string& site : mask_recovery_->accepted_sites()) count_site(site);
+    for (const std::string& site : recovery_dropped_) count_site(site);
+    return count;
   }
+  for (const auto& [site, session] : sessions_) count_site(site);
   return count;
 }
 

@@ -246,9 +246,9 @@ class FederatedServer {
   std::vector<std::uint8_t> on_register(const std::string& sender,
                                         const RegisterRequest& req);
   std::vector<std::uint8_t> on_submit(const std::string& sender,
-                                      const SubmitUpdateRequest& req);
+                                      SubmitUpdateRequest req);
   std::vector<std::uint8_t> on_unmask(const std::string& sender,
-                                      const UnmaskResponse& req);
+                                      UnmaskResponse req);
 
   FLContext make_context_locked() const CF_REQUIRES(mu_);
   /// The round's kTrain body, packed on first use (see train_body_).
@@ -287,11 +287,16 @@ class FederatedServer {
   void abort_run_locked(const std::string& reason,
                         AbortCode code = AbortCode::kExternal)
       CF_REQUIRES(mu_);
-  /// Re-drives journaled round events through the normal admission paths so
-  /// a restarted server resumes mid-round (ctor only; see class comment).
+  /// Performs the round mutation one journal event stands for — the one
+  /// code path the live handlers (after appending the event) and replay
+  /// share (DESIGN.md §15).
+  void apply_locked(const JournalEvent& ev) CF_REQUIRES(mu_);
+  /// Replays a journal's open round through apply_locked so a restarted
+  /// server resumes mid-round (ctor only; see class comment).
   void apply_journal_locked(const JournalReplay& replay) CF_REQUIRES(mu_);
   void record_liveness(const std::string& sender);
-  void sample_round_participants_locked() CF_REQUIRES(mu_);
+  /// Draws this round's cohort (sorted; empty = everyone participates).
+  std::vector<std::string> sample_round_participants_locked() CF_REQUIRES(mu_);
   void settle_round_verdicts_locked() CF_REQUIRES(mu_);
   void record_rejection_locked(RejectReason reason) CF_REQUIRES(mu_);
   void record_site_metrics_locked(const std::string& site, const Dxo& contribution) CF_REQUIRES(mu_);
@@ -363,14 +368,10 @@ class FederatedServer {
   std::set<std::string> evicted_
       CF_GUARDED_BY(mu_);                        // unseen past the timeout
   std::int64_t round_ CF_GUARDED_BY(mu_) = 0;
-  /// True between a ctor journal replay and that round's close: the next
-  /// start_round_locked must not resample or re-journal a round that is
-  /// already open in the journal.
-  bool round_replayed_ CF_GUARDED_BY(mu_) = false;
-  /// Round whose kRoundOpen frame is in the journal (-1 none) — makes the
-  /// double start_round_locked call benign (register racing a replayed
-  /// recovery finish) instead of journaling a second open frame.
-  std::int64_t journal_open_round_ CF_GUARDED_BY(mu_) = -1;
+  /// Round whose kRoundOpen event was applied, live or by replay (-1 none).
+  /// start_round_locked finding it equal to round_ resumes that round
+  /// instead of resampling or journaling a second open frame.
+  std::int64_t open_round_ CF_GUARDED_BY(mu_) = -1;
   std::chrono::steady_clock::time_point round_start_ CF_GUARDED_BY(mu_){};
   std::int64_t round_start_ns_ CF_GUARDED_BY(mu_) = 0;  // round span start
   bool started_ CF_GUARDED_BY(mu_) = false;

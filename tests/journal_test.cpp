@@ -23,11 +23,14 @@
 #include <string>
 #include <vector>
 
+#include "core/backoff.h"
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/wal.h"
 #include "flare/aggregator.h"
 #include "flare/messages.h"
+#include "flare/observability.h"
+#include "flare/persistor.h"
 #include "flare/provision.h"
 #include "flare/secure_channel.h"
 #include "flare/server.h"
@@ -182,10 +185,17 @@ TEST_F(JournalTest, ReopenReturnsTheOpenRoundsEventsInOrder) {
   {
     RoundJournal journal(file, core::WalSyncPolicy::kEveryRound);
     (void)journal.open("job-b");
-    journal.round_open(3, {"site-1", "site-2", "site-3"});
-    journal.accepted("site-1", sample_update(1.0f));
-    journal.rejected("site-2", 2, "non-finite");
-    journal.evicted("site-3");
+    journal.append({.type = JournalEventType::kRoundOpen,
+                    .round = 3,
+                    .names = {"site-1", "site-2", "site-3"}});
+    journal.append({.type = JournalEventType::kAccepted,
+                    .site = "site-1",
+                    .payload = sample_update(1.0f)});
+    journal.append({.type = JournalEventType::kRejected,
+                    .site = "site-2",
+                    .reason = 2,
+                    .detail = "non-finite"});
+    journal.append({.type = JournalEventType::kEviction, .site = "site-3"});
     journal.sync();
   }
   RoundJournal journal(file, core::WalSyncPolicy::kEveryRound);
@@ -209,8 +219,12 @@ TEST_F(JournalTest, CommitCompactsBackToHeaderAlone) {
   const std::string file = path("commit.journal");
   RoundJournal journal(file, core::WalSyncPolicy::kEveryRound);
   (void)journal.open("job-c");
-  journal.round_open(0, {"site-1"});
-  journal.accepted("site-1", sample_update(2.0f));
+  journal.append({.type = JournalEventType::kRoundOpen,
+                  .round = 0,
+                  .names = {"site-1"}});
+  journal.append({.type = JournalEventType::kAccepted,
+                  .site = "site-1",
+                  .payload = sample_update(2.0f)});
   journal.commit(0);
   // The commit barrier compacted the log: nothing but the header remains on
   // disk, and a reopen finds no mid-round state.
@@ -221,7 +235,9 @@ TEST_F(JournalTest, CommitCompactsBackToHeaderAlone) {
   const JournalReplay replay = reopened.open("job-c");
   EXPECT_EQ(replay.open_round, -1);
   // The next round opens cleanly on the compacted log.
-  reopened.round_open(1, {"site-1"});
+  reopened.append({.type = JournalEventType::kRoundOpen,
+                   .round = 1,
+                   .names = {"site-1"}});
   const JournalReplay again =
       RoundJournal(file, core::WalSyncPolicy::kOff).open("job-c");
   EXPECT_EQ(again.open_round, 1);
@@ -232,12 +248,25 @@ TEST_F(JournalTest, RecoveryEventsSurviveReopen) {
   {
     RoundJournal journal(file, core::WalSyncPolicy::kOff);
     (void)journal.open("job-r");
-    journal.round_open(2, {"site-1", "site-2", "site-3"});
-    journal.accepted("site-1", sample_update(1.0f));
-    journal.accepted("site-2", sample_update(2.0f));
-    journal.recovery_begin(2, {"site-3"}, true);
-    journal.unmask_share("site-1", sample_update(0.25f));
-    journal.recovery_wave(0, {"site-2"});
+    journal.append({.type = JournalEventType::kRoundOpen,
+                    .round = 2,
+                    .names = {"site-1", "site-2", "site-3"}});
+    journal.append({.type = JournalEventType::kAccepted,
+                    .site = "site-1",
+                    .payload = sample_update(1.0f)});
+    journal.append({.type = JournalEventType::kAccepted,
+                    .site = "site-2",
+                    .payload = sample_update(2.0f)});
+    journal.append({.type = JournalEventType::kRecoveryBegin,
+                    .round = 2,
+                    .names = {"site-3"},
+                    .deadline_fired = true});
+    journal.append({.type = JournalEventType::kUnmaskShare,
+                    .site = "site-1",
+                    .payload = sample_update(0.25f)});
+    journal.append({.type = JournalEventType::kRecoveryWave,
+                    .names = {"site-2"},
+                    .wave = 0});
   }
   const JournalReplay replay =
       RoundJournal(file, core::WalSyncPolicy::kOff).open("job-r");
@@ -255,7 +284,9 @@ TEST_F(JournalTest, DiscardDropsRoundStateButKeepsHeader) {
   const std::string file = path("discard.journal");
   RoundJournal journal(file, core::WalSyncPolicy::kOff);
   (void)journal.open("job-d");
-  journal.round_open(5, {"site-1"});
+  journal.append({.type = JournalEventType::kRoundOpen,
+                  .round = 5,
+                  .names = {"site-1"}});
   journal.discard();
   const auto events = RoundJournal::read(file);
   ASSERT_EQ(events.size(), 1u);
@@ -281,9 +312,15 @@ TEST_F(JournalTest, TornTailOnReopenKeepsThePrefix) {
   {
     RoundJournal journal(file, core::WalSyncPolicy::kOff);
     (void)journal.open("job-t");
-    journal.round_open(1, {"site-1", "site-2"});
-    journal.accepted("site-1", sample_update(1.0f));
-    journal.accepted("site-2", sample_update(2.0f));
+    journal.append({.type = JournalEventType::kRoundOpen,
+                    .round = 1,
+                    .names = {"site-1", "site-2"}});
+    journal.append({.type = JournalEventType::kAccepted,
+                    .site = "site-1",
+                    .payload = sample_update(1.0f)});
+    journal.append({.type = JournalEventType::kAccepted,
+                    .site = "site-2",
+                    .payload = sample_update(2.0f)});
   }
   // Chop into the final frame: the crash-shaped failure. Replay keeps the
   // intact prefix and reports what it dropped.
@@ -301,8 +338,12 @@ TEST_F(JournalTest, BitRotSurfacesAsWalCorruption) {
   {
     RoundJournal journal(file, core::WalSyncPolicy::kOff);
     (void)journal.open("job-z");
-    journal.round_open(0, {"site-1"});
-    journal.accepted("site-1", sample_update(1.0f));
+    journal.append({.type = JournalEventType::kRoundOpen,
+                    .round = 0,
+                    .names = {"site-1"}});
+    journal.append({.type = JournalEventType::kAccepted,
+                    .site = "site-1",
+                    .payload = sample_update(1.0f)});
   }
   std::vector<char> bytes;
   {
@@ -437,6 +478,110 @@ TEST_F(JournalTest, DoubleRestartReplaysTheSameJournalAgain) {
   EXPECT_TRUE(bit_equal(fed.server().global_model(), dict_of({2.0f, 4.0f})));
 }
 
+/// Every standing flattened for comparison (SiteStanding has no ==).
+std::map<std::string, std::vector<std::int64_t>> standings_of(
+    const std::map<std::string, SiteStanding>& standings) {
+  std::map<std::string, std::vector<std::int64_t>> out;
+  for (const auto& [site, st] : standings) {
+    out[site] = {st.strikes, st.clean_streak, st.quarantined ? 1 : 0,
+                 st.total_rejections, st.times_quarantined};
+  }
+  return out;
+}
+
+TEST_F(JournalTest, ReplayReachesTheLiveState) {
+  // Round 1 of a resumed run, driven to the same mid-round point twice:
+  // site-1 accepted, site-2 rejected (non-finite; quarantine_after = 1 also
+  // quarantines it), site-3 quarantined by the checkpoint and scored, site-4
+  // evicted for silence, site-5 still owing its update. One server lives
+  // on; the other is destroyed without a commit and rebuilt over the same
+  // checkpoint and journal. Replay runs the live path's own mutation per
+  // event, so the rebuilt server must hold the live one's state exactly.
+  ServerConfig config;
+  config.job_id = "replay-live";
+  config.num_rounds = 2;
+  config.expected_clients = 5;
+  config.min_clients = 4;  // keeps round 1 open after site-4's eviction
+  config.liveness_timeout_ms = 500;
+  config.reputation.quarantine_after = 1;
+  const std::vector<std::string> sites = {"site-1", "site-2", "site-3",
+                                          "site-4", "site-5"};
+
+  std::vector<std::unique_ptr<RestartableFederation>> feds;
+  for (const std::string run : {"live", "replayed"}) {
+    SiteStanding quarantined;
+    quarantined.quarantined = true;
+    quarantined.total_rejections = 1;
+    quarantined.times_quarantined = 1;
+    RoundMetrics round0;
+    ModelPersistor(path(run + ".bin"))
+        .save({config.job_id, 0, dict_of({0.0f, 0.0f}), {round0},
+               {{"site-3", quarantined}}});
+    auto fed = std::make_unique<RestartableFederation>(
+        config, 5, path(run + ".bin"), path(run + ".bin.journal"));
+    for (const std::string& site : sites) fed->register_site(site);
+    EXPECT_TRUE(fed->submit("site-1", 1, {2.0f, 4.0f}).accepted);
+    EXPECT_EQ(fed->submit("site-2", 1, {std::nanf(""), 1.0f}).reason,
+              RejectReason::kNonFinite);
+    EXPECT_EQ(fed->submit("site-3", 1, {8.0f, 8.0f}).reason,
+              RejectReason::kQuarantined);
+    feds.push_back(std::move(fed));
+  }
+  // site-5 keeps polling, site-4 falls silent until each ticker evicts it.
+  const auto both_evicted = [&feds] {
+    return !feds[0]->server().evicted_sites().empty() &&
+           !feds[1]->server().evicted_sites().empty();
+  };
+  for (int i = 0; i < 500 && !both_evicted(); ++i) {
+    for (auto& fed : feds) {
+      EXPECT_EQ(fed->get_task("site-5").task, TaskKind::kTrain);
+    }
+    core::Backoff::sleep_ms(20);
+  }
+  for (auto& fed : feds) {
+    ASSERT_EQ(fed->server().evicted_sites(),
+              std::vector<std::string>{"site-4"});
+  }
+  RestartableFederation& live = *feds[0];
+  RestartableFederation& replayed = *feds[1];
+  const auto rejections = [](FederatedServer& server) {
+    return server.metrics_snapshot().counters_with_prefix(
+        metric_names::kRejectionPrefix);
+  };
+  const auto resent_acks = [](RestartableFederation& fed) {
+    std::vector<std::string> acks;
+    for (const std::string site : {"site-1", "site-2", "site-3"}) {
+      const SubmitAck ack = fed.submit(site, 1, {8.0f, 8.0f});
+      acks.push_back(std::to_string(ack.accepted) + " " +
+                     reject_reason_name(ack.reason) + " " + ack.message);
+    }
+    return acks;
+  };
+
+  replayed.restart();
+  // Before any site re-registers (site-4's first frame re-admits it).
+  EXPECT_EQ(standings_of(replayed.server().reputation()),
+            standings_of(live.server().reputation()));
+  EXPECT_EQ(replayed.server().evicted_sites(), live.server().evicted_sites());
+  EXPECT_EQ(rejections(replayed.server()), rejections(live.server()));
+  EXPECT_EQ(rejections(live.server()).size(), 2u);  // non_finite, quarantined
+
+  for (const std::string& site : sites) replayed.register_site(site);
+  EXPECT_EQ(resent_acks(replayed), resent_acks(live));
+
+  // Both finish the round the same way; the models match bit for bit.
+  for (RestartableFederation* fed : {&live, &replayed}) {
+    EXPECT_TRUE(fed->submit("site-4", 1, {1.0f, 1.0f}).accepted);
+    EXPECT_TRUE(fed->submit("site-5", 1, {3.0f, 5.0f}).accepted);
+    ASSERT_TRUE(fed->server().wait_until_finished(10000));
+  }
+  const nn::StateDict want = live.server().global_model();
+  const nn::StateDict got = replayed.server().global_model();
+  EXPECT_TRUE(bit_equal(want, got));
+  EXPECT_EQ(standings_of(replayed.server().reputation()),
+            standings_of(live.server().reputation()));
+}
+
 // ---------------------------------------------------------------------------
 // Simulator-level reconciliation edges (checkpoint vs journal)
 // ---------------------------------------------------------------------------
@@ -508,8 +653,12 @@ TEST_F(JournalTest, StaleJournalIsDiscardedOnResume) {
     RoundJournal journal(path("stale.bin.journal"),
                          core::WalSyncPolicy::kOff);
     (void)journal.open("journal-sim");
-    journal.round_open(2, {"site-1", "site-2", "site-3", "site-4"});
-    journal.accepted("site-1", sample_update(9.0f));
+    journal.append({.type = JournalEventType::kRoundOpen,
+                    .round = 2,
+                    .names = {"site-1", "site-2", "site-3", "site-4"}});
+    journal.append({.type = JournalEventType::kAccepted,
+                    .site = "site-1",
+                    .payload = sample_update(9.0f)});
   }
   config.resume = true;
   config.journal = true;
@@ -531,8 +680,12 @@ TEST_F(JournalTest, JournalWithoutItsCheckpointIsDiscarded) {
     RoundJournal journal(path("orphan.bin.journal"),
                          core::WalSyncPolicy::kOff);
     (void)journal.open("journal-sim");
-    journal.round_open(5, {"site-1", "site-2", "site-3", "site-4"});
-    journal.accepted("site-2", sample_update(7.0f));
+    journal.append({.type = JournalEventType::kRoundOpen,
+                    .round = 5,
+                    .names = {"site-1", "site-2", "site-3", "site-4"}});
+    journal.append({.type = JournalEventType::kAccepted,
+                    .site = "site-2",
+                    .payload = sample_update(7.0f)});
   }
   SimulatorConfig config = sim_config(path("orphan.bin"));
   config.journal = true;

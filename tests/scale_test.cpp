@@ -10,6 +10,7 @@
 #include <set>
 #include <thread>
 
+#include "core/error.h"
 #include "core/logging.h"
 #include "flare/simulator.h"
 #include "test_util.h"
@@ -70,21 +71,19 @@ class ScaleTest : public ::testing::Test {
 
 // ---- wire compatibility --------------------------------------------------
 
-TEST_F(ScaleTest, GetTaskWaitMsRoundtripsAndLegacyFramesDecode) {
+TEST_F(ScaleTest, GetTaskWaitMsRoundtripsAndIsRequired) {
   const GetTaskRequest req{"sess-42-site-1", 12345};
   const std::vector<std::uint8_t> frame = pack(req);
   const GetTaskRequest back = decode_get_task(frame);
   EXPECT_EQ(back.session_id, req.session_id);
   EXPECT_EQ(back.wait_ms, 12345);
 
-  // A pre-long-poll frame is the same bytes minus the trailing i64; it must
-  // still decode, with wait_ms defaulting to 0 (answer immediately).
-  std::vector<std::uint8_t> legacy = frame;
-  ASSERT_GE(legacy.size(), 8u);
-  legacy.resize(legacy.size() - 8);
-  const GetTaskRequest old = decode_get_task(legacy);
-  EXPECT_EQ(old.session_id, req.session_id);
-  EXPECT_EQ(old.wait_ms, 0);
+  // wait_ms is a required field: the same bytes minus the trailing i64 are
+  // a truncated frame, refused with a typed decode error.
+  std::vector<std::uint8_t> truncated = frame;
+  ASSERT_GE(truncated.size(), 8u);
+  truncated.resize(truncated.size() - 8);
+  EXPECT_THROW((void)decode_get_task(truncated), SerializationError);
 }
 
 // ---- long-poll park and push --------------------------------------------

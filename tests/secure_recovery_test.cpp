@@ -2,9 +2,9 @@
 //
 // The acceptance bar: a masked 8-site federation with one site dropped
 // mid-round completes — no abort, no corrupted aggregate — and publishes a
-// model bitwise-equal to an unmasked run over the same surviving sites, on
-// the in-process, TCP (including fault-injected recovery traffic), and
-// multiplexed transports. The wire-level half drives the server one sealed
+// model bitwise-equal to an unmasked run over the same surviving sites, over
+// the in-process and TCP transports (including fault-injected recovery
+// traffic) and with more sites than site-pool workers. The wire-level half drives the server one sealed
 // frame at a time to pin down the recovery state machine itself: the
 // UnmaskRequest/UnmaskResponse exchange, the round freeze, the demotion
 // cascade, and the typed aborts when recovery falls below quorum.
@@ -202,8 +202,9 @@ TEST_F(SecureRecoveryTest, TcpRecoveryTrafficSurvivesFaultInjection) {
 }
 
 TEST_F(SecureRecoveryTest, MultiplexedDropMidRoundMatchesUnmaskedSurvivors) {
-  // Same drop scenario on the event-driven multiplexed path: the site state
-  // machines answer UnmaskRequests from inside their poll loop.
+  // Same drop scenario with six sites multiplexed onto two site-pool
+  // workers: each site's client loop answers UnmaskRequests between polls
+  // while sharing a worker with other sites.
   SimulatorConfig plain_config = drop_config(false);
   plain_config.num_clients = 6;
   plain_config.num_rounds = 3;
@@ -306,10 +307,16 @@ TEST_F(SecureRecoveryTest, DpComposesWithMaskingAndSurvivesADrop) {
 /// transitions are pinned down deterministically.
 class ManualMaskedFederation : public ManualFederation {
  public:
+  /// A non-empty `journal_path` makes the server journal its rounds, so a
+  /// restart() replays what its predecessor journaled.
   ManualMaskedFederation(const ServerConfig& config, std::int64_t num_sites,
-                         std::uint64_t dealer_seed = 7)
-      : ManualFederation(config, num_sites, dict_of({0.0f, 0.0f}),
-                         std::make_unique<MaskedFedAvgAggregator>(16)) {
+                         std::uint64_t dealer_seed = 7,
+                         std::string journal_path = {})
+      : ManualFederation(
+            Provisioner(config.job_id, 17).provision_sites(num_sites)),
+        config_(config),
+        journal_path_(std::move(journal_path)) {
+    restart();
     // Mask participants are the client sites only — the registry's "server"
     // entry is the channel identity, not a masking peer.
     std::vector<std::string> names;
@@ -357,7 +364,24 @@ class ManualMaskedFederation : public ManualFederation {
         site, pack(UnmaskResponse{session(site), req.round, req.wave, share})));
   }
 
+  /// Tears the server down and hosts a fresh masked one over the journal.
+  void restart() {
+    ManualFederation::restart([this] {
+      std::shared_ptr<RoundJournal> journal;
+      if (!journal_path_.empty()) {
+        journal = std::make_shared<RoundJournal>(
+            journal_path_, core::WalSyncPolicy::kEveryRecord);
+      }
+      return std::make_unique<FederatedServer>(
+          config_, registry(), dict_of({0.0f, 0.0f}),
+          std::make_unique<MaskedFedAvgAggregator>(16), nullptr, std::nullopt,
+          std::move(journal));
+    });
+  }
+
  private:
+  ServerConfig config_;
+  std::string journal_path_;
   std::map<std::string, std::shared_ptr<SecureAggMaskFilter>> maskers_;
 };
 
@@ -464,7 +488,12 @@ TEST_F(SecureRecoveryTest, RecoveryBelowQuorumAbortsWithTypedCode) {
   // machine-checkable recovery abort code, never publishing.
   ServerConfig config = manual_config("abort-job", 3, 2);
   config.secure_agg.recovery_deadline_ms = 200;
-  ManualMaskedFederation fed(config, 3);
+  const std::string journal_path =
+      (std::filesystem::temp_directory_path() /
+       ("cppflare_abort_job_" + std::to_string(::getpid()) + ".journal"))
+          .string();
+  std::filesystem::remove(journal_path);
+  ManualMaskedFederation fed(config, 3, 7, journal_path);
   for (const std::string site : {"site-1", "site-2", "site-3"}) {
     fed.register_site(site);
   }
@@ -481,6 +510,16 @@ TEST_F(SecureRecoveryTest, RecoveryBelowQuorumAbortsWithTypedCode) {
   const auto frame = fed.poll("site-1");
   ASSERT_EQ(peek_type(frame), MsgType::kTask);
   EXPECT_EQ(decode_task(frame).task, TaskKind::kStop);
+
+  // A coordinator restarted over the journal replays the same demotion
+  // wave through the same code and reaches the same typed abort, word for
+  // word, before any site has re-registered.
+  const std::string live_reason = fed.server().abort_reason();
+  fed.restart();
+  EXPECT_TRUE(fed.server().aborted());
+  EXPECT_EQ(fed.server().abort_code(), AbortCode::kRecoveryBelowQuorum);
+  EXPECT_EQ(fed.server().abort_reason(), live_reason);
+  std::filesystem::remove(journal_path);
 }
 
 TEST_F(SecureRecoveryTest, AbortCodeNamesAreStable) {

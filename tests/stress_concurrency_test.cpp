@@ -2,8 +2,8 @@
 //
 // These tests exist to be run under ThreadSanitizer (the `tsan` preset):
 // they hammer the threaded hot paths — ThreadPool submit/shutdown, the
-// SimulatorRunner's one-thread-per-site federation, and TcpServer's
-// accept/serve/stop lifecycle — with enough contention that unsynchronized
+// SimulatorRunner's site pool (every site's client loop on its workers),
+// and TcpServer's accept/serve/stop lifecycle — with enough contention that unsynchronized
 // state or fd-lifetime races become visible. Iteration counts are sized so
 // the whole suite stays in the tens of seconds even with TSan's ~10x
 // slowdown on a single core; raise them locally when chasing a flaky race.
